@@ -50,7 +50,8 @@
 //! every subcommand is unit-testable; `main.rs` is a thin wrapper.
 
 use dtaint_core::{
-    AliasMode, AnalysisReport, CacheFormat, CacheRef, Dtaint, DtaintConfig, Finding, SummaryCache,
+    AliasMode, AnalysisReport, CacheFormat, CacheLoadReport, CacheRef, Dtaint, DtaintConfig,
+    Finding, SummaryCache,
 };
 use dtaint_emu::{poison_all_rodata_names, validate as emu_validate, AttackConfig, Verdict};
 use dtaint_fwbin::{disasm, Binary};
@@ -780,8 +781,10 @@ struct ImageOutcome {
 /// lets an interrupted-and-resumed run reproduce an uninterrupted one
 /// byte-for-byte at `--jobs 1`.
 struct ScanCapture {
-    /// Serialized `DTC2` snapshot to persist at this image's commit.
-    snapshot: Option<Vec<u8>>,
+    /// `DTC2` records for the cache entries stored since the previous
+    /// capture, appended to `summaries.dtc` at this image's commit
+    /// (empty when nothing new was stored or the cache is off).
+    delta: Vec<u8>,
     sym_hits: u64,
     sym_misses: u64,
     ddg_hits: u64,
@@ -796,13 +799,27 @@ struct ScanCapture {
     span: Option<SpanEvent>,
 }
 
-/// Captures the cache snapshot, this image's scan statistics, and its
-/// merged report registry right after its scan settles. Failed and
-/// timed-out images carry zero stats and an empty registry (their
-/// labels never completed a scan).
+/// Why `batch` rewrites a loaded cache file before appending to it, for
+/// the log; `None` for a missing file (nothing worth saying) or a clean
+/// `DTC2` one (not rewritten).
+fn cache_rewrite_reason(rep: &CacheLoadReport) -> Option<&'static str> {
+    match rep.format {
+        CacheFormat::Missing => None,
+        CacheFormat::Dtc2 if !rep.damaged => None,
+        CacheFormat::Dtc1 if !rep.damaged => Some("upgraded the summary cache to DTC2"),
+        CacheFormat::Unrecognized => Some("replaced the unrecognized summary cache file"),
+        CacheFormat::Dtc1 | CacheFormat::Dtc2 => Some("repaired the damaged summary cache"),
+    }
+}
+
+/// Captures the cache delta, this image's scan statistics, and its
+/// merged report registry right after its scan settles. The delta costs
+/// O(entries stored since the last capture), never a whole-cache
+/// serialization. Failed and timed-out images carry zero stats and an
+/// empty registry (their labels never completed a scan).
 fn capture_cache(cache: Option<&std::sync::Arc<SummaryCache>>, oc: &ImageOutcome) -> ScanCapture {
     let mut cap = ScanCapture {
-        snapshot: cache.map(|c| c.to_bytes()),
+        delta: cache.map(|c| c.drain_fresh_records()).unwrap_or_default(),
         sym_hits: 0,
         sym_misses: 0,
         ddg_hits: 0,
@@ -1060,8 +1077,8 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let fault_fs = std::sync::Arc::new(dtaint_store::FaultFs::with_plan(fault_plan));
     let store = dtaint_store::StoreDir::open_with_fs(&store_root, fault_fs)
         .map_err(|e| format!("batch: open store {}: {e}", store_root.display()))?;
-    // One batch run at a time per store: the journal and the cache/db
-    // snapshots are not merge-safe across concurrent writers.
+    // One batch run at a time per store: the journal, the cache file and
+    // the db are not merge-safe across concurrent writers.
     let (_lock, stolen) = store.lock().map_err(|e| format!("batch: {e}"))?;
     if let Some(pid) = stolen {
         log::warn(&format!("batch: evicted a stale store lock left by dead process {pid}"));
@@ -1136,8 +1153,10 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
 
     // The summary cache persists in the store across runs; `--no-cache`
     // scans cold and leaves the persisted cache untouched. Damaged
-    // cache files are salvaged entry-by-entry; legacy DTC1 files are
-    // upgraded in place.
+    // cache files are salvaged entry-by-entry. Per-image commits append
+    // to the file, so anything but a clean DTC2 file (missing, damaged,
+    // unrecognized, or legacy DTC1) is first rewritten whole: appends
+    // then land after a valid header, never after a torn tail.
     let (cache, cache_report) = if no_cache {
         (None, None)
     } else {
@@ -1151,13 +1170,12 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 rep.salvaged, rep.discarded
             ));
         }
-        if rep.format == CacheFormat::Dtc1 {
+        if rep.format != CacheFormat::Dtc2 || rep.damaged {
             dtaint_store::atomic_write(store.fs(), &store.cache_path(), &c.to_bytes())
-                .map_err(|e| format!("batch: upgrade {}: {e}", store.cache_path().display()))?;
-            log::info(&format!(
-                "batch: upgraded the summary cache to DTC2 in place ({} entries)",
-                rep.entries
-            ));
+                .map_err(|e| format!("batch: rewrite {}: {e}", store.cache_path().display()))?;
+            if let Some(why) = cache_rewrite_reason(rep) {
+                log::info(&format!("batch: {why} in place ({} entries)", rep.entries));
+            }
         }
     }
 
@@ -1242,11 +1260,12 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let batch_clock = dtaint_telemetry::Clock::new();
 
     // Commits one freshly-scanned image durably, in order: report →
-    // cache snapshot → journal append. The journal append is the commit
-    // point — a crash before it re-scans the image on resume, a crash
-    // after it replays the entry, and the per-image cache snapshot
-    // keeps a resumed run's warm state identical to an uninterrupted
-    // one's.
+    // cache delta append → journal append. The journal append is the
+    // commit point — a crash before it re-scans the image on resume, a
+    // crash after it replays the entry, and the per-image cache deltas
+    // keep a resumed run's warm state identical to an uninterrupted
+    // one's. A crash mid-append leaves a torn record that the next
+    // load salvages around and the next run's start rewrites away.
     let commit =
         |j: &ImageJob, oc: &ImageOutcome, cap: &ScanCapture| -> Result<FoldInput, String> {
             let mut report_name = None;
@@ -1300,8 +1319,8 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 }
                 findings = by_fp.into_values().collect();
             }
-            if let Some(snap) = &cap.snapshot {
-                dtaint_store::atomic_write(store.fs(), &store.cache_path(), snap)
+            if !cap.delta.is_empty() {
+                dtaint_store::append_records(store.fs(), &store.cache_path(), &cap.delta)
                     .map_err(|e| format!("write {}: {e}", store.cache_path().display()))?;
             }
             store
@@ -1638,8 +1657,10 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     summary.generation = db.generation;
     if let Some(c) = &cache {
         summary.cache_entries = c.totals().entries;
-        // Final snapshot: with `--jobs` > 1 late workers may have
-        // stored entries after the last per-image snapshot.
+        // Final compaction: the per-image commits only appended deltas;
+        // one whole rewrite leaves the file canonical at rest (key-sorted,
+        // header count = entries) and picks up any store that landed
+        // after the last capture (an abandoned timed-out scan's).
         dtaint_store::atomic_write(store.fs(), &store.cache_path(), &c.to_bytes())
             .map_err(|e| format!("write {}: {e}", store.cache_path().display()))?;
     }
@@ -2727,5 +2748,23 @@ mod tests {
         let (code, out) = run_captured(&["scan", &p, "--validate"]);
         assert_eq!(code, Ok(2));
         assert!(out.contains("dynamic validation"), "{out}");
+    }
+
+    #[test]
+    fn cache_rewrite_reason_names_what_was_wrong() {
+        let rep = |format, damaged| CacheLoadReport {
+            format,
+            entries: 0,
+            salvaged: 0,
+            discarded: 0,
+            damaged,
+        };
+        assert_eq!(cache_rewrite_reason(&rep(CacheFormat::Missing, false)), None);
+        assert_eq!(cache_rewrite_reason(&rep(CacheFormat::Dtc2, false)), None);
+        let why = |format, damaged| cache_rewrite_reason(&rep(format, damaged)).unwrap();
+        assert!(why(CacheFormat::Dtc1, false).contains("upgraded"));
+        assert!(why(CacheFormat::Dtc1, true).contains("damaged"));
+        assert!(why(CacheFormat::Dtc2, true).contains("damaged"));
+        assert!(why(CacheFormat::Unrecognized, true).contains("unrecognized"));
     }
 }

@@ -97,6 +97,9 @@ struct Inner {
     seen: HashMap<(String, u8, u32), u64>,
     stats: HashMap<String, ScanStats>,
     totals: CacheTotals,
+    /// Keys inserted since the last [`SummaryCache::drain_fresh_records`],
+    /// in insertion order — the delta a commit appends to the file.
+    fresh: Vec<(Level, u64)>,
 }
 
 /// The shared blob store. All methods take `&self`; one instance serves
@@ -140,9 +143,11 @@ pub struct CacheLoadReport {
     /// Entries recovered from a *damaged* `DTC2` file (0 for a clean
     /// load — salvage only counts what survived damage).
     pub salvaged: u64,
-    /// Entries the header promised but the file no longer delivers
-    /// (truncated or checksum-failed records). 0 when the header itself
-    /// is damaged: the promise is unreadable.
+    /// Entries the header promised for the compacted base but the file
+    /// no longer delivers (truncated or checksum-failed records). Records
+    /// appended after the base count toward the promise, so with an
+    /// append log this is a lower bound. 0 when the header itself is
+    /// damaged: the promise is unreadable.
     pub discarded: u64,
     /// Whether any damage was detected (header, records, or trailing
     /// garbage).
@@ -220,13 +225,18 @@ impl SummaryCache {
         }
     }
 
-    /// Stores a blob under `key`, crediting `scan`.
+    /// Stores a blob under `key`, crediting `scan`. A key not held yet
+    /// joins the delta [`Self::drain_fresh_records`] returns; re-storing
+    /// a held key replaces its blob but adds nothing to the delta.
     pub fn store(&self, level: Level, scan: &str, key: u64, blob: Vec<u8>) {
         let mut g = self.inner.lock().unwrap();
-        match level {
+        let prev = match level {
             Level::Symex => g.sym.insert(key, blob),
             Level::Ddg => g.ddg.insert(key, blob),
         };
+        if prev.is_none() {
+            g.fresh.push((level, key));
+        }
         g.stats.entry(scan.to_owned()).or_default().stores += 1;
         g.totals.stores += 1;
     }
@@ -243,10 +253,10 @@ impl SummaryCache {
         CacheTotals { entries: g.sym.len() + g.ddg.len(), ..g.totals }
     }
 
-    /// Serialises both levels as `DTC2` bytes: a 16-byte header (magic,
-    /// entry count, FNV of the first 8 header bytes) then key-sorted,
-    /// individually checksummed records. Statistics and the seen-key
-    /// table are per-process and not persisted.
+    /// Serialises both levels as a compacted `DTC2` file: a 16-byte
+    /// header (magic, entry count, FNV of the first 8 header bytes) then
+    /// key-sorted, individually checksummed records. Statistics and the
+    /// seen-key table are per-process and not persisted.
     pub fn to_bytes(&self) -> Vec<u8> {
         let g = self.inner.lock().unwrap();
         let count = (g.sym.len() + g.ddg.len()) as u32;
@@ -258,24 +268,29 @@ impl SummaryCache {
         for (tag, map) in [(0u8, &g.sym), (1u8, &g.ddg)] {
             let sorted: BTreeMap<&u64, &Vec<u8>> = map.iter().collect();
             for (k, v) in sorted {
-                out.extend_from_slice(&RECORD_MARKER);
-                let body_start = out.len();
-                out.push(tag);
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-                let check = fnv64_bytes(&out[body_start..]);
-                out.extend_from_slice(&check.to_le_bytes());
+                push_record(&mut out, tag, *k, v);
             }
         }
         out
     }
 
-    /// Serialises both levels to `path` in `DTC2` format. Prefer
-    /// [`Self::to_bytes`] plus an atomic write for crash safety; this
-    /// plain write is kept for ad-hoc tooling.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+    /// Takes the entries stored since the previous drain (or the load)
+    /// as `DTC2` records in store order, framed exactly like
+    /// [`Self::to_bytes`]'s, for appending after a file's compacted
+    /// base. Each newly inserted key is drained exactly once; the result
+    /// is empty when nothing new was stored.
+    pub fn drain_fresh_records(&self) -> Vec<u8> {
+        let mut g = self.inner.lock().unwrap();
+        let fresh = std::mem::take(&mut g.fresh);
+        let mut out = Vec::new();
+        for (level, key) in fresh {
+            let map = match level {
+                Level::Symex => &g.sym,
+                Level::Ddg => &g.ddg,
+            };
+            push_record(&mut out, level_tag(level), key, &map[&key]);
+        }
+        out
     }
 
     /// Deserialises cache bytes, salvaging what survives damage. `DTC2`
@@ -322,7 +337,7 @@ impl SummaryCache {
         }
     }
 
-    /// Loads a cache saved by [`Self::save`], discarding the report.
+    /// Loads the cache at `path`, discarding the report.
     pub fn load(path: &Path) -> Self {
         Self::load_with_report(path).0
     }
@@ -357,9 +372,24 @@ fn fnv64_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Appends one `DTC2` record: marker, level tag, key, blob length, blob,
+/// and an FNV checksum over tag..blob.
+fn push_record(out: &mut Vec<u8>, tag: u8, key: u64, blob: &[u8]) {
+    out.extend_from_slice(&RECORD_MARKER);
+    let body_start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&key.to_le_bytes());
+    out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    out.extend_from_slice(blob);
+    let check = fnv64_bytes(&out[body_start..]);
+    out.extend_from_slice(&check.to_le_bytes());
+}
+
 /// Parses `DTC2` bytes into `inner`, salvaging intact records. The
-/// header's entry count (when its own checksum holds) is the promise
-/// that prices the damage: `discarded = promised − loaded`.
+/// header's entry count (when its own checksum holds) promises the
+/// compacted base; records past it are the append log. Damage is a
+/// record that fails to parse or fewer records than promised, and the
+/// promise prices it: `discarded = promised − loaded` (floored at 0).
 fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
     let header_ok = bytes.len() >= 16
         && fnv64_bytes(&bytes[..8]) == u64::from_le_bytes(bytes[8..16].try_into().unwrap());
@@ -391,7 +421,7 @@ fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
             }
         }
     }
-    if promised.is_some_and(|p| p != loaded) {
+    if promised.is_some_and(|p| loaded < p) {
         damaged = true;
     }
     let entries = inner.sym.len() + inner.ddg.len();
@@ -889,30 +919,92 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("dtc-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.bin");
+    fn bytes_roundtrip_and_cold_starts() {
         let c = SummaryCache::new();
         c.store(Level::Symex, "s", 1, vec![10, 11]);
         c.store(Level::Ddg, "s", 2, vec![20]);
-        c.save(&path).unwrap();
-        let (back, report) = SummaryCache::load_with_report(&path);
+        let (back, report) = SummaryCache::from_bytes(&c.to_bytes());
         assert_eq!(back.lookup_blob(Level::Symex, 1).as_deref(), Some(&[10u8, 11][..]));
         assert_eq!(back.lookup_blob(Level::Ddg, 2).as_deref(), Some(&[20u8][..]));
         assert_eq!(back.totals().entries, 2);
         assert_eq!(report, CacheLoadReport::clean(CacheFormat::Dtc2, 2));
-        // Corrupt file → cold start, no panic, damage reported.
-        std::fs::write(&path, b"garbage").unwrap();
-        let (cold, report) = SummaryCache::load_with_report(&path);
+        // Corrupt bytes → cold start, no panic, damage reported.
+        let (cold, report) = SummaryCache::from_bytes(b"garbage");
         assert_eq!(cold.totals().entries, 0);
         assert_eq!(report.format, CacheFormat::Unrecognized);
         assert!(report.damaged);
         // Missing file → cold start.
-        let (cold, report) = SummaryCache::load_with_report(&dir.join("nope.bin"));
+        let missing = std::env::temp_dir().join(format!("dtc-missing-{}", std::process::id()));
+        let (cold, report) = SummaryCache::load_with_report(&missing);
         assert_eq!(cold.totals().entries, 0);
         assert_eq!(report, CacheLoadReport::clean(CacheFormat::Missing, 0));
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_returns_each_fresh_key_once_and_ignores_restores() {
+        let c = SummaryCache::new();
+        c.store(Level::Symex, "s", 1, vec![10]);
+        c.store(Level::Ddg, "s", 1, vec![20]);
+        c.store(Level::Symex, "s", 1, vec![11]); // re-store: not fresh
+        let empty = SummaryCache::new().to_bytes();
+        let (back, report) =
+            SummaryCache::from_bytes(&[&empty[..], &c.drain_fresh_records()].concat());
+        assert!(!report.damaged);
+        assert_eq!(report.entries, 2, "one record per fresh key");
+        assert_eq!(back.lookup_blob(Level::Symex, 1).as_deref(), Some(&[11u8][..]));
+        assert!(c.drain_fresh_records().is_empty(), "a drain empties the delta");
+        c.store(Level::Ddg, "s", 1, vec![21]);
+        assert!(c.drain_fresh_records().is_empty(), "re-stores add nothing");
+        c.store(Level::Ddg, "s", 2, vec![22]);
+        let (back, _) = SummaryCache::from_bytes(&[&empty[..], &c.drain_fresh_records()].concat());
+        assert_eq!(back.totals().entries, 1, "only the new key");
+        // A loaded cache starts with an empty delta.
+        let (loaded, _) = SummaryCache::from_bytes(&c.to_bytes());
+        assert!(loaded.drain_fresh_records().is_empty());
+    }
+
+    /// `marker_free_cache(n)`'s file plus `extra` more stores appended
+    /// as one drained delta each, and the in-memory cache behind it.
+    fn base_plus_appends(n: u64, extra: u64) -> (SummaryCache, Vec<u8>) {
+        let c = marker_free_cache(n);
+        let mut file = c.to_bytes();
+        assert!(!c.drain_fresh_records().is_empty(), "the base's stores were fresh");
+        for k in n..n + extra {
+            c.store(Level::Ddg, "s", k, vec![(k % 200) as u8; 3 + k as usize % 5]);
+            file.extend(c.drain_fresh_records());
+        }
+        (c, file)
+    }
+
+    #[test]
+    fn appended_records_load_clean() {
+        let (c, file) = base_plus_appends(4, 3);
+        let (back, report) = SummaryCache::from_bytes(&file);
+        assert_eq!(report, CacheLoadReport::clean(CacheFormat::Dtc2, 7), "the log is not damage");
+        for k in 0..7 {
+            let level = if k < 4 && k % 2 == 0 { Level::Symex } else { Level::Ddg };
+            let want = c.lookup_blob(level, k);
+            assert!(want.is_some(), "entry {k} is on level {level:?}");
+            assert_eq!(back.lookup_blob(level, k), want, "entry {k}");
+        }
+    }
+
+    #[test]
+    fn torn_final_append_salvages_every_earlier_record() {
+        let (_, file) = base_plus_appends(4, 3);
+        let (back, report) = SummaryCache::from_bytes(&file[..file.len() - 5]);
+        assert!(report.damaged);
+        assert_eq!(report.salvaged, 6, "base and the first two appends survive");
+        assert_eq!(report.discarded, 0, "the base kept its promise");
+        assert_eq!(back.totals().entries, 6);
+    }
+
+    #[test]
+    fn compacting_after_appends_matches_to_bytes() {
+        let (c, file) = base_plus_appends(5, 4);
+        let (back, _) = SummaryCache::from_bytes(&file);
+        assert_ne!(file, c.to_bytes(), "the log is not compacted yet");
+        assert_eq!(back.to_bytes(), c.to_bytes());
     }
 
     /// A cache with `n` entries whose blobs avoid the record marker's

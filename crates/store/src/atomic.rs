@@ -1,13 +1,16 @@
 //! Durable filesystem primitives with injectable faults.
 //!
-//! Every store artifact (`findings.json`, `summaries.dtc`, per-image
-//! reports, `corpus.json`) is written through [`atomic_write`]:
-//! temp-file + fsync + rename + directory fsync, so a reader never
-//! observes a half-written file — after a crash at *any* step the path
-//! holds either the complete old version or the complete new one. The
-//! run journal is appended through [`append_durable`] (O_APPEND +
-//! fsync); a crash mid-append leaves at most one partial trailing line,
-//! which the journal loader discards.
+//! Every whole-file store artifact (`findings.json`, per-image reports,
+//! `corpus.json`, and the compacted `summaries.dtc`) is written through
+//! [`atomic_write`]: temp-file + fsync + rename + directory fsync, so a
+//! reader never observes a half-written file — after a crash at *any*
+//! step the path holds either the complete old version or the complete
+//! new one. The run journal is appended through [`append_durable`]
+//! (O_APPEND + fsync); a crash mid-append leaves at most one partial
+//! trailing line, which the journal loader discards. The summary cache's
+//! per-image deltas go through [`append_records`], the same durable
+//! append minus the commit-point bookkeeping; a torn tail there is
+//! salvaged by the cache loader.
 //!
 //! All operations route through a [`FaultFs`], a shim over the real
 //! filesystem whose [`FaultPlan`] can inject `ENOSPC`/`EINTR`-style
@@ -54,6 +57,9 @@ pub enum FsOp {
     SyncDir,
     /// One durable journal append (open + write + fsync).
     Append,
+    /// One durable data-record append (open + write + fsync) — not a
+    /// commit point.
+    AppendRecords,
 }
 
 /// What the shim should do to incoming operations.
@@ -70,7 +76,8 @@ pub enum FaultPlan {
         /// durable writers; `StorageFull` etc. propagate).
         kind: io::ErrorKind,
     },
-    /// After `appends` successful [`FsOp::Append`] operations, every
+    /// After `appends` successful [`FsOp::Append`] operations (journal
+    /// commits; [`FsOp::AppendRecords`] never counts), every
     /// subsequent operation fails — the process "died" at that commit
     /// point. `dtaint batch --drill-io kill-after-appends:N` maps here.
     KillAfterAppends {
@@ -241,19 +248,37 @@ pub fn atomic_write(fs: &FaultFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
     })
 }
 
-/// Appends `bytes` to `path` durably (create + `O_APPEND` + fsync).
-/// A crash mid-append leaves at most one partial trailing record.
+/// Appends one journal commit to `path` durably (create + `O_APPEND` +
+/// fsync). A crash mid-append leaves at most one partial trailing
+/// record. Each success counts toward [`FaultPlan::KillAfterAppends`].
 ///
 /// # Errors
 ///
 /// Propagates persistent IO failures after bounded transient retries.
 pub fn append_durable(fs: &FaultFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    append(fs, FsOp::Append, path, bytes)?;
+    fs.note_append_ok();
+    Ok(())
+}
+
+/// Appends data records to `path` durably, like [`append_durable`], but
+/// as a step *before* a commit point: the fault plan gates it, yet it
+/// never counts toward [`FaultPlan::KillAfterAppends`]. A crash
+/// mid-append leaves a torn trailing record for the reader to discard.
+///
+/// # Errors
+///
+/// Propagates persistent IO failures after bounded transient retries.
+pub fn append_records(fs: &FaultFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    append(fs, FsOp::AppendRecords, path, bytes)
+}
+
+fn append(fs: &FaultFs, op: FsOp, path: &Path, bytes: &[u8]) -> io::Result<()> {
     with_retries(|| {
-        fs.check(FsOp::Append)?;
+        fs.check(op)?;
         let mut f = OpenOptions::new().create(true).append(true).open(path)?;
         f.write_all(bytes)?;
         f.sync_all()?;
-        fs.note_append_ok();
         Ok(())
     })
 }
@@ -358,6 +383,29 @@ mod tests {
         assert!(append_durable(&fs, &journal, b"c\n").is_err(), "dead after 2 appends");
         assert!(atomic_write(&fs, &dir.join("x"), b"x").is_err(), "all ops dead");
         assert_eq!(std::fs::read(&journal).unwrap(), b"a\nb\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_appends_are_gated_but_never_count_as_commits() {
+        let dir = tdir("records");
+        let (data, journal) = (dir.join("d.bin"), dir.join("j.jsonl"));
+        let fs = FaultFs::with_plan(FaultPlan::KillAfterAppends { appends: 1 });
+        append_records(&fs, &data, b"r1").unwrap();
+        append_records(&fs, &data, b"r2").unwrap();
+        append_durable(&fs, &journal, b"a\n").unwrap();
+        assert!(append_records(&fs, &data, b"r3").is_err(), "gated once the commit is spent");
+        assert_eq!(std::fs::read(&data).unwrap(), b"r1r2");
+        assert_eq!(fs.injected(), 1);
+
+        // FailOp indexes record appends like any other operation.
+        let fs =
+            FaultFs::with_plan(FaultPlan::FailOp { index: 1, kind: io::ErrorKind::StorageFull });
+        append_records(&fs, &data, b"r4").unwrap();
+        assert!(append_records(&fs, &data, b"r5").is_err());
+        append_records(&fs, &data, b"r6").unwrap();
+        assert_eq!(std::fs::read(&data).unwrap(), b"r1r2r4r6");
+        assert_eq!(fs.injected(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,8 +7,10 @@
 //!   ever seen, keyed by its content-addressed fingerprint, with a
 //!   lifecycle status (`Open`/`Resolved`) and first/last-seen
 //!   generation numbers,
-//! * `summaries.dtc` — the incremental summary cache (written by the
-//!   caller via `SummaryCache::save`; this crate only names the path),
+//! * `summaries.dtc` — the incremental summary cache (the caller
+//!   compacts it with `SummaryCache::to_bytes` + [`atomic_write`] and
+//!   appends per-image deltas with [`append_records`]; this crate only
+//!   names the path),
 //! * `reports/` — one `scan --json` report per image per run.
 //!
 //! [`FindingsDb::record_scan`] folds one image's scan results into the
@@ -23,7 +25,7 @@ pub mod journal;
 pub mod lock;
 pub mod runs;
 
-pub use atomic::{append_durable, atomic_write, fnv64, FaultFs, FaultPlan, FsOp};
+pub use atomic::{append_durable, append_records, atomic_write, fnv64, FaultFs, FaultPlan, FsOp};
 pub use journal::{JournalEntry, JournalLoad, JournalOutcome, JOURNAL_VERSION};
 pub use lock::{pid_alive, LockError, StoreLock};
 pub use runs::{encode_run, parse_runs, RunSummary, RunsLoad, RUN_VERSION};

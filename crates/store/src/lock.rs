@@ -1,7 +1,7 @@
 //! Pid-stamped store locking with stale-lock detection.
 //!
 //! Two concurrent `dtaint batch` runs over one store would interleave
-//! journal appends and race the cache/db snapshots. [`StoreLock`]
+//! journal and cache appends and race the cache/db rewrites. [`StoreLock`]
 //! serializes them: a `lock` file in the store root holds the owning
 //! pid; acquisition fails while that process is alive and steals the
 //! lock (with a report) when it is dead — the survivor of a `kill -9`

@@ -60,7 +60,7 @@ pub struct RunSummary {
     pub ddg_misses: u64,
     /// Cache entries invalidated by content/config drift.
     pub invalidations: u64,
-    /// Entries in the summary cache after the final snapshot.
+    /// Entries in the summary cache after the final compaction.
     pub cache_entries: usize,
     /// Journal lines discarded on load (torn tail, version drift).
     pub journal_discarded: usize,

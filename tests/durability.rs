@@ -9,6 +9,7 @@
 //! *exactly* under seeded truncation and single-bit corruption from the
 //! `fwgen::mutate` operators.
 
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 
 use dtaint_cli::run_captured;
@@ -123,6 +124,73 @@ fn interrupted_batch_resumes_byte_identical_to_uninterrupted() {
     assert!(
         !sb.join("journal.jsonl").exists() || read(&sb.join("journal.jsonl")).is_empty(),
         "journal cleared after completion"
+    );
+}
+
+/// Per-image commits append only the entries an image added, so on a
+/// store primed by a complete run, a warm pass over the unchanged corpus
+/// commits without touching `summaries.dtc` — not even rewriting the
+/// same bytes — and a run killed after its first commit leaves the
+/// primed file exactly as it was.
+#[test]
+fn warm_no_op_commits_leave_the_cache_file_untouched() {
+    let dir = three_image_corpus("noop-commit");
+    let d = dir.to_str().unwrap();
+    let store = dir.join("store");
+    let cache_path = store.join("summaries.dtc");
+    let (code, out) = run_captured(&["batch", d, "--store", store.to_str().unwrap()]);
+    assert_eq!(code, Ok(0), "{out}");
+    let primed = read(&cache_path);
+    let primed_inode = std::fs::metadata(&cache_path).unwrap().ino();
+
+    let (code, out) = run_captured(&[
+        "batch",
+        d,
+        "--store",
+        store.to_str().unwrap(),
+        "--drill-io",
+        "kill-after-appends:1",
+    ]);
+    let err = code.expect_err("the drill must kill the run");
+    assert!(err.contains("injected kill"), "died for the drilled reason: {err}\n{out}");
+    assert!(store.join("journal.jsonl").exists(), "alpha committed before the kill");
+    assert_eq!(read(&cache_path), primed, "a no-op commit changed summaries.dtc");
+    let inode = std::fs::metadata(&cache_path).unwrap().ino();
+    assert_eq!(inode, primed_inode, "summaries.dtc was rewritten");
+}
+
+/// A run killed between images leaves the cache as a compacted base
+/// plus appended deltas, which loads clean; the resumed run compacts it
+/// back to exactly the bytes an uninterrupted run leaves at rest.
+#[test]
+fn resumed_cache_file_compacts_to_the_uninterrupted_bytes() {
+    let dir = three_image_corpus("compact");
+    let d = dir.to_str().unwrap();
+    let (sa, sb) = (dir.join("store-a"), dir.join("store-b"));
+    let (code, out) = run_captured(&["batch", d, "--store", sa.to_str().unwrap()]);
+    assert_eq!(code, Ok(0), "{out}");
+
+    let (code, _) = run_captured(&[
+        "batch",
+        d,
+        "--store",
+        sb.to_str().unwrap(),
+        "--drill-io",
+        "kill-after-appends:1",
+    ]);
+    assert!(code.is_err(), "the drill must kill the run");
+    let interrupted = read(&sb.join("summaries.dtc"));
+    let (loaded, report) = SummaryCache::from_bytes(&interrupted);
+    assert!(!report.damaged, "base + appended delta is a clean file: {report:?}");
+    assert!(report.entries > 0, "alpha's summaries were committed");
+    assert_ne!(interrupted, loaded.to_bytes(), "the committed delta was appended, not compacted");
+
+    let (code, out) = run_captured(&["batch", d, "--store", sb.to_str().unwrap(), "--resume"]);
+    assert_eq!(code, Ok(0), "{out}");
+    assert_eq!(
+        read(&sa.join("summaries.dtc")),
+        read(&sb.join("summaries.dtc")),
+        "the at-rest cache file is not canonical"
     );
 }
 
