@@ -755,7 +755,7 @@ fn dest_capacity(df: &ProgramDataflow, bin: Option<&Binary>, obs: &SinkObservati
         return None;
     }
     let sym = bin
-        .symbols
+        .symbols()
         .iter()
         .filter(|s| s.kind == SymbolKind::Object && s.size > 0)
         .find(|s| addr >= s.addr && addr < s.addr + s.size)?;

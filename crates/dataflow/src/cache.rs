@@ -552,8 +552,8 @@ pub fn env_digest(bin: &Binary) -> u64 {
             h.write(&s.data);
         }
     }
-    h.write_u32(bin.symbols.len() as u32);
-    for s in &bin.symbols {
+    h.write_u32(bin.symbols().len() as u32);
+    for s in bin.symbols() {
         h.write_str(&s.name);
         h.write_u32(s.addr);
         h.write_u32(s.size);

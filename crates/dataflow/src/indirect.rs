@@ -15,8 +15,8 @@
 use crate::layout::{infer_layouts, root_and_path, AccessPath, Layout};
 use dtaint_fwbin::Binary;
 use dtaint_symex::pool::{ExprPool, SymNode};
-use dtaint_symex::{CalleeRef, FuncSummary};
-use std::collections::BTreeMap;
+use dtaint_symex::{CalleeRef, ExprId, FuncSummary};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A function pointer installed into a structure field.
 #[derive(Debug, Clone)]
@@ -29,8 +29,9 @@ pub struct Installer {
     pub path: AccessPath,
     /// Field offset of the stored pointer.
     pub offset: i64,
-    /// Layout of the root structure as seen by the installer.
-    pub layout: Layout,
+    /// Root pointer of the structure in the installer's summary; its
+    /// layout is the one Formula 2 compares.
+    pub root: ExprId,
 }
 
 /// A resolved indirect call.
@@ -49,56 +50,52 @@ pub struct ResolvedCall {
 
 /// Finds installers and matches every indirect call site against them.
 ///
-/// `summaries` must share `pool`. Sites with several structurally
-/// plausible targets resolve to the highest-similarity one ("the highest
-/// similarity σ", §III-D); ties and zero-evidence sites resolve only when
-/// the field position identifies a unique candidate.
-pub fn resolve_indirect_calls(
+/// `summaries` must share `pool` and have distinct addresses. Sites with
+/// several structurally plausible targets resolve to the
+/// highest-similarity one ("the highest similarity σ", §III-D); ties and
+/// zero-evidence sites resolve only when the field position identifies a
+/// unique candidate.
+pub fn resolve_indirect_calls<'a>(
     bin: &Binary,
-    summaries: &[FuncSummary],
+    summaries: impl IntoIterator<Item = &'a FuncSummary>,
     pool: &ExprPool,
 ) -> Vec<ResolvedCall> {
-    // Pass 1: installers.
-    let mut installers: Vec<Installer> = Vec::new();
-    let mut layouts_cache: BTreeMap<u32, BTreeMap<dtaint_symex::ExprId, Layout>> = BTreeMap::new();
-    for s in summaries {
-        layouts_cache.insert(s.addr, infer_layouts(s, pool));
-    }
-    for s in summaries {
-        for dp in &s.def_pairs {
-            let SymNode::Deref { addr, .. } = pool.node(dp.d) else { continue };
-            let Some(c) = pool.as_const(dp.u) else { continue };
-            let target = c as u32;
-            let Some(func) = bin.function_at(target) else { continue };
-            if func.addr != target {
-                continue;
-            }
-            let (base, offset) = pool.base_offset(addr);
-            let Some((root, path)) = root_and_path(base, pool) else { continue };
-            let layout = layouts_cache[&s.addr].get(&root).cloned().unwrap_or_default();
-            installers.push(Installer { func: target, in_func: s.addr, path, offset, layout });
-        }
-    }
+    resolve(bin, summaries, pool).0
+}
+
+/// [`resolve_indirect_calls`], also returning the functions whose
+/// layouts it inferred.
+///
+/// Layouts are inferred lazily, once per function: for installers, and
+/// for callers with a site whose field position some installer shares.
+fn resolve<'a>(
+    bin: &Binary,
+    summaries: impl IntoIterator<Item = &'a FuncSummary>,
+    pool: &ExprPool,
+) -> (Vec<ResolvedCall>, BTreeSet<u32>) {
+    let summaries: Vec<&FuncSummary> = summaries.into_iter().collect();
+    let mut layouts: HashMap<u32, BTreeMap<ExprId, Layout>> = HashMap::new();
+    let installers = installers_by_position(bin, &summaries, pool, &mut layouts);
 
     // Pass 2: match indirect call sites.
+    let no_fields = Layout::default();
     let mut resolved = Vec::new();
-    for s in summaries {
+    for s in &summaries {
         for cs in &s.callsites {
             let CalleeRef::Indirect(e) = &cs.callee else { continue };
             let SymNode::Deref { addr, .. } = pool.node(*e) else { continue };
             let (base, offset) = pool.base_offset(addr);
             let Some((root, path)) = root_and_path(base, pool) else { continue };
-            let caller_layout = layouts_cache[&s.addr].get(&root).cloned().unwrap_or_default();
-            let positional: Vec<&Installer> =
-                installers.iter().filter(|i| i.path == path && i.offset == offset).collect();
-            if positional.is_empty() {
-                continue;
-            }
+            let Some(positional) = installers.get(&(path, offset)) else { continue };
+            layouts.entry(s.addr).or_insert_with(|| infer_layouts(s, pool));
+            let layout_of =
+                |func: u32, root: ExprId| layouts[&func].get(&root).unwrap_or(&no_fields);
+            let caller_layout = layout_of(s.addr, root);
             // Rank by layout similarity.
             let mut best: Option<(&Installer, f64)> = None;
             let mut best_count = 0usize;
-            for inst in &positional {
-                let score = caller_layout.similarity(&inst.layout);
+            for inst in positional {
+                let score = caller_layout.similarity(layout_of(inst.in_func, inst.root));
                 match &best {
                     Some((_, s0)) if score < *s0 => {}
                     Some((_, s0)) if (score - s0).abs() < 1e-12 => best_count += 1,
@@ -109,9 +106,7 @@ pub fn resolve_indirect_calls(
                 }
             }
             let (inst, score) = best.expect("positional nonempty");
-            let distinct_targets: std::collections::BTreeSet<u32> =
-                positional.iter().map(|i| i.func).collect();
-            let unique = distinct_targets.len() == 1;
+            let unique = positional.iter().all(|i| i.func == inst.func);
             // Resolve on a strict similarity winner, or when the field
             // position identifies a single target anyway. Ambiguous ties
             // between different targets stay unresolved — precision over
@@ -128,7 +123,41 @@ pub fn resolve_indirect_calls(
     }
     resolved.sort_by_key(|r| r.ins_addr);
     resolved.dedup_by_key(|r| (r.ins_addr, r.callee));
-    resolved
+    (resolved, layouts.into_keys().collect())
+}
+
+/// Pass 1: installers grouped by field position, each group in
+/// discovery order (the order breaks similarity ties). Infers each
+/// installing function's layouts into `layouts`.
+fn installers_by_position(
+    bin: &Binary,
+    summaries: &[&FuncSummary],
+    pool: &ExprPool,
+    layouts: &mut HashMap<u32, BTreeMap<ExprId, Layout>>,
+) -> HashMap<(AccessPath, i64), Vec<Installer>> {
+    let mut installers: HashMap<(AccessPath, i64), Vec<Installer>> = HashMap::new();
+    for s in summaries {
+        for dp in &s.def_pairs {
+            let SymNode::Deref { addr, .. } = pool.node(dp.d) else { continue };
+            let Some(c) = pool.as_const(dp.u) else { continue };
+            let target = c as u32;
+            let Some(func) = bin.function_at(target) else { continue };
+            if func.addr != target {
+                continue;
+            }
+            let (base, offset) = pool.base_offset(addr);
+            let Some((root, path)) = root_and_path(base, pool) else { continue };
+            layouts.entry(s.addr).or_insert_with(|| infer_layouts(s, pool));
+            installers.entry((path.clone(), offset)).or_default().push(Installer {
+                func: target,
+                in_func: s.addr,
+                path,
+                offset,
+                root,
+            });
+        }
+    }
+    installers
 }
 
 #[cfg(test)]
@@ -141,17 +170,17 @@ mod tests {
     /// A binary with two functions at 0x1000 and 0x2000 (no code needed —
     /// resolution only consults the symbol table).
     fn fake_bin() -> Binary {
-        Binary {
-            arch: Arch::Arm32e,
-            entry: 0x1000,
-            sections: vec![Section {
+        Binary::new(
+            Arch::Arm32e,
+            0x1000,
+            vec![Section {
                 name: ".text".into(),
                 kind: SectionKind::Text,
                 addr: 0x1000,
                 size: 0x2000,
                 data: vec![0; 0x2000],
             }],
-            symbols: vec![
+            vec![
                 Symbol {
                     name: "handler_a".into(),
                     addr: 0x1000,
@@ -165,8 +194,8 @@ mod tests {
                     kind: SymbolKind::Function,
                 },
             ],
-            imports: vec![],
-        }
+            vec![],
+        )
     }
 
     fn field(pool: &mut ExprPool, root: ExprId, off: i64) -> ExprId {
@@ -288,5 +317,92 @@ mod tests {
         let call = caller_summary(&mut pool, 0x1200, &[]);
         let r = resolve_indirect_calls(&bin, &[inst, call], &pool);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn wrapping_constant_store_is_not_an_installer() {
+        let mut bin = fake_bin();
+        let mut symbols = bin.symbols().to_vec();
+        symbols.push(Symbol {
+            name: "wraps".into(),
+            addr: 0xFFFF_FFF0,
+            size: 0x20,
+            kind: SymbolKind::Function,
+        });
+        bin = Binary::new(bin.arch, bin.entry, bin.sections, symbols, bin.imports);
+        let mut pool = ExprPool::new();
+        let mut inst = FuncSummary { addr: 0x1100, ..Default::default() };
+        let arg0 = pool.arg(0);
+        let f = field(&mut pool, arg0, 8);
+        // `-1` lies above the wrapping symbol's start.
+        let minus_one = pool.constant(-1);
+        inst.def_pairs.push(DefPair { d: f, u: minus_one, ins_addr: 0, path: 0 });
+        let call = caller_summary(&mut pool, 0x1200, &[]);
+        assert!(resolve_indirect_calls(&bin, &[inst, call], &pool).is_empty());
+    }
+
+    #[test]
+    fn same_position_installers_keep_insertion_order_on_ties() {
+        let bin = fake_bin();
+        let mut pool = ExprPool::new();
+        // Two installers of the same target at the same field, both with
+        // the caller's exact layout: the first one inserted wins the tie
+        // and the unique target resolves.
+        let inst_a = installer_summary(&mut pool, 0x1100, 0x2000, &[0x10]);
+        let inst_b = installer_summary(&mut pool, 0x1300, 0x2000, &[0x10]);
+        let call = caller_summary(&mut pool, 0x1200, &[0x10]);
+        let r = resolve_indirect_calls(&bin, [&inst_a, &inst_b, &call], &pool);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].callee, 0x2000);
+        assert!(r[0].score > 0.5);
+        // The group for field +8 lists installers in summary order.
+        for order in [[&inst_a, &inst_b], [&inst_b, &inst_a]] {
+            let groups = installers_by_position(&bin, &order, &pool, &mut HashMap::new());
+            let in_funcs: Vec<u32> = groups[&(vec![], 8)].iter().map(|i| i.in_func).collect();
+            assert_eq!(in_funcs, vec![order[0].addr, order[1].addr]);
+        }
+    }
+
+    #[test]
+    fn caller_layout_is_inferred_only_for_matching_sites() {
+        let bin = fake_bin();
+        let mut pool = ExprPool::new();
+        let inst = installer_summary(&mut pool, 0x1100, 0x1000, &[0x10]);
+        let call = caller_summary(&mut pool, 0x1200, &[0x10]);
+        // Calls through arg0+12, a field no installer writes.
+        let mut stray = FuncSummary { addr: 0x1300, ..Default::default() };
+        let arg0 = pool.arg(0);
+        let fp = field(&mut pool, arg0, 12);
+        let ret = pool.ret_sym(0x1304);
+        stray.callsites.push(CallsiteInfo {
+            ins_addr: 0x1304,
+            callee: CalleeRef::Indirect(fp),
+            args: vec![arg0],
+            ret,
+            path: 0,
+        });
+        let plain = FuncSummary { addr: 0x1400, ..Default::default() };
+        let (r, inferred) = resolve(&bin, &[inst, call, stray, plain], &pool);
+        assert_eq!(r.len(), 1);
+        assert_eq!(inferred.into_iter().collect::<Vec<_>>(), vec![0x1100, 0x1200]);
+    }
+
+    #[test]
+    fn borrowed_map_values_resolve_like_a_cloned_vec() {
+        let bin = fake_bin();
+        let mut pool = ExprPool::new();
+        let by_addr: BTreeMap<u32, FuncSummary> = [
+            installer_summary(&mut pool, 0x1100, 0x1000, &[0x10, 0x14]),
+            installer_summary(&mut pool, 0x1300, 0x2000, &[0x40, 0x44]),
+            caller_summary(&mut pool, 0x1200, &[0x10, 0x14]),
+            caller_summary(&mut pool, 0x1400, &[0x40]),
+        ]
+        .into_iter()
+        .map(|s| (s.addr, s))
+        .collect();
+        let owned: Vec<FuncSummary> = by_addr.values().cloned().collect();
+        let borrowed = resolve_indirect_calls(&bin, by_addr.values(), &pool);
+        assert_eq!(borrowed, resolve_indirect_calls(&bin, &owned, &pool));
+        assert_eq!(borrowed.len(), 2);
     }
 }

@@ -443,8 +443,7 @@ pub fn build_dataflow(
     // Stage 2: indirect-call resolution (§III-D).
     let t = Instant::now();
     let resolved: Vec<ResolvedCall> = if config.enable_indirect {
-        let owned: Vec<FuncSummary> = by_addr.values().cloned().collect();
-        resolve_indirect_calls(bin, &owned, &pool)
+        resolve_indirect_calls(bin, by_addr.values(), &pool)
     } else {
         Vec::new()
     };

@@ -62,7 +62,7 @@ impl GlobalMap {
     /// Indexes the binary's writable objects and sections.
     pub fn build(bin: &Binary) -> GlobalMap {
         let mut objects: Vec<(u32, u32)> = bin
-            .symbols
+            .symbols()
             .iter()
             .filter(|s| {
                 s.kind == SymbolKind::Object && s.size > 0 && !bin.is_immutable_addr(s.addr)

@@ -12,6 +12,7 @@
 
 use crate::{Arch, Error, Result};
 use bytes::{Buf, BufMut};
+use std::collections::BTreeSet;
 
 /// Magic bytes opening every serialized FBF binary.
 pub const FBF_MAGIC: [u8; 4] = *b"FBF1";
@@ -134,10 +135,64 @@ pub struct Binary {
     pub entry: u32,
     /// Loadable sections, in address order.
     pub sections: Vec<Section>,
-    /// Defined symbols.
-    pub symbols: Vec<Symbol>,
+    /// Defined symbols; read-only after construction (see
+    /// [`Binary::symbols`]) so that `functions_at` never goes stale.
+    symbols: Vec<Symbol>,
     /// Imported library functions.
     pub imports: Vec<Import>,
+    /// Exact [`Binary::function_at`] answers over `symbols`.
+    functions_at: FunctionIndex,
+}
+
+/// The covering function symbol of every address, as sorted gaps.
+///
+/// Entry `(start, owner)` covers the addresses from `start` up to the
+/// next entry's start: `owner` is the table position of the *first*
+/// function symbol (in table order) whose range holds them, or `None`.
+/// Zero-size ranges, and ranges whose end wraps past 2³², cover nothing.
+/// Lookup is one binary search.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FunctionIndex {
+    gaps: Vec<(u32, Option<u32>)>,
+}
+
+impl FunctionIndex {
+    /// Sweeps the range endpoints in address order, keeping the table
+    /// positions of the ranges open at each point.
+    fn build(symbols: &[Symbol]) -> FunctionIndex {
+        let mut events: Vec<(u32, u32, bool)> = Vec::new();
+        for (pos, s) in symbols.iter().enumerate() {
+            if s.kind != SymbolKind::Function || s.size == 0 {
+                continue;
+            }
+            let Some(end) = s.addr.checked_add(s.size) else { continue };
+            events.push((s.addr, pos as u32, true));
+            events.push((end, pos as u32, false));
+        }
+        events.sort_unstable();
+        let mut open = BTreeSet::new();
+        let mut gaps: Vec<(u32, Option<u32>)> = Vec::new();
+        for (k, &(at, pos, starts)) in events.iter().enumerate() {
+            if starts {
+                open.insert(pos);
+            } else {
+                open.remove(&pos);
+            }
+            if events.get(k + 1).is_some_and(|next| next.0 == at) {
+                continue;
+            }
+            let owner = open.first().copied();
+            if gaps.last().map(|g| g.1) != Some(owner) {
+                gaps.push((at, owner));
+            }
+        }
+        FunctionIndex { gaps }
+    }
+
+    fn lookup(&self, addr: u32) -> Option<usize> {
+        let i = self.gaps.partition_point(|&(start, _)| start <= addr);
+        self.gaps.get(i.checked_sub(1)?)?.1.map(|pos| pos as usize)
+    }
 }
 
 /// Shape statistics of one [`Binary`] (see [`Binary::stats`]).
@@ -156,6 +211,24 @@ pub struct BinStats {
 }
 
 impl Binary {
+    /// Assembles a binary, indexing its function symbols.
+    pub fn new(
+        arch: Arch,
+        entry: u32,
+        sections: Vec<Section>,
+        symbols: Vec<Symbol>,
+        imports: Vec<Import>,
+    ) -> Binary {
+        let functions_at = FunctionIndex::build(&symbols);
+        Binary { arch, entry, sections, symbols, imports, functions_at }
+    }
+
+    /// Defined symbols, in table order. The table is fixed at
+    /// construction; build a new [`Binary`] to change it.
+    pub fn symbols(&self) -> &[Symbol] {
+        &self.symbols
+    }
+
     /// The section of the given kind, if present.
     pub fn section(&self, kind: SectionKind) -> Option<&Section> {
         self.sections.iter().find(|s| s.kind == kind)
@@ -206,11 +279,10 @@ impl Binary {
         v
     }
 
-    /// The function symbol covering `addr`, if any.
+    /// The function symbol covering `addr`, if any: the first one in
+    /// table order when symbols overlap.
     pub fn function_at(&self, addr: u32) -> Option<&Symbol> {
-        self.symbols
-            .iter()
-            .find(|s| s.kind == SymbolKind::Function && addr >= s.addr && addr < s.addr + s.size)
+        self.functions_at.lookup(addr).map(|pos| &self.symbols[pos])
     }
 
     /// The import whose stub is at `addr`, if any.
@@ -223,24 +295,32 @@ impl Binary {
     /// BSS reads return zeroes. Returns `None` when the range is unmapped
     /// or straddles a section boundary.
     pub fn bytes_at(&self, addr: u32, len: u32) -> Option<Vec<u8>> {
-        let s = self.sections.iter().find(|s| s.contains(addr))?;
-        let end = addr.checked_add(len)?;
-        if end > s.addr + s.size {
-            return None;
-        }
-        let off = (addr - s.addr) as usize;
-        let mut out = vec![0u8; len as usize];
-        if off < s.data.len() {
-            let n = (s.data.len() - off).min(len as usize);
-            out[..n].copy_from_slice(&s.data[off..off + n]);
-        }
+        let stored = self.stored_from(addr, len)?;
+        let mut out = stored[..stored.len().min(len as usize)].to_vec();
+        out.resize(len as usize, 0);
         Some(out)
     }
 
-    /// Reads a little-endian 32-bit word at `addr`.
+    /// Reads a little-endian 32-bit word at `addr`, with the
+    /// [`Binary::bytes_at`] rules but without allocating.
     pub fn read_u32(&self, addr: u32) -> Option<u32> {
-        let b = self.bytes_at(addr, 4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        let stored = self.stored_from(addr, 4)?;
+        let mut b = [0u8; 4];
+        let n = stored.len().min(4);
+        b[..n].copy_from_slice(&stored[..n]);
+        Some(u32::from_le_bytes(b))
+    }
+
+    /// The stored bytes from `addr` to the end of its section's data,
+    /// when `addr..addr + len` lies inside that one section. BSS and
+    /// other unstored tails read as zero, so the slice may be shorter
+    /// than `len`.
+    fn stored_from(&self, addr: u32, len: u32) -> Option<&[u8]> {
+        let s = self.section_at(addr)?;
+        if addr.checked_add(len)? > s.addr + s.size {
+            return None;
+        }
+        Some(s.data.get((addr - s.addr) as usize..).unwrap_or_default())
     }
 
     /// Reads a NUL-terminated string at `addr` (for rodata literals).
@@ -362,7 +442,7 @@ impl Binary {
             let stub_addr = get_u32(&mut buf)?;
             imports.push(Import { name, stub_addr });
         }
-        Ok(Binary { arch, entry, sections, symbols, imports })
+        Ok(Binary::new(arch, entry, sections, symbols, imports))
     }
 }
 
@@ -413,10 +493,10 @@ mod tests {
     use proptest::prelude::*;
 
     fn sample_binary() -> Binary {
-        Binary {
-            arch: Arch::Arm32e,
-            entry: 0x10000,
-            sections: vec![
+        Binary::new(
+            Arch::Arm32e,
+            0x10000,
+            vec![
                 Section {
                     name: ".text".into(),
                     kind: SectionKind::Text,
@@ -439,12 +519,12 @@ mod tests {
                     data: vec![],
                 },
             ],
-            symbols: vec![
+            vec![
                 Symbol { name: "main".into(), addr: 0x10000, size: 8, kind: SymbolKind::Function },
                 Symbol { name: "greet".into(), addr: 0x20000, size: 3, kind: SymbolKind::Object },
             ],
-            imports: vec![Import { name: "strcpy".into(), stub_addr: 0x18000 }],
-        }
+            vec![Import { name: "strcpy".into(), stub_addr: 0x18000 }],
+        )
     }
 
     #[test]
@@ -504,6 +584,74 @@ mod tests {
     }
 
     #[test]
+    fn read_u32_zero_fills_bss_and_rejects_straddles_and_holes() {
+        let mut b = sample_binary();
+        // A data section storing 6 of its 12 bytes: the tail reads zero.
+        b.sections.push(Section {
+            name: ".data".into(),
+            kind: SectionKind::Data,
+            addr: 0x40000,
+            size: 12,
+            data: vec![0xAA; 6],
+        });
+        assert_eq!(b.read_u32(0x40004), Some(0x0000_AAAA), "stored bytes, then zeroes");
+        assert_eq!(b.read_u32(0x40008), Some(0));
+        assert_eq!(b.read_u32(0x3003E), None, "straddles the end of .bss");
+        assert_eq!(b.read_u32(0x4000A), None, "straddles the end of .data");
+        assert_eq!(b.read_u32(0x3FFFE), None, "unmapped start");
+        assert_eq!(b.read_u32(u32::MAX - 1), None, "end wraps the address space");
+        for addr in [0x10000, 0x10004, 0x30000, 0x40004, 0x40008, 0x10006] {
+            let via_bytes =
+                b.bytes_at(addr, 4).map(|v| u32::from_le_bytes([v[0], v[1], v[2], v[3]]));
+            assert_eq!(b.read_u32(addr), via_bytes, "{addr:#x}");
+        }
+    }
+
+    fn func(name: &str, addr: u32, size: u32) -> Symbol {
+        Symbol { name: name.into(), addr, size, kind: SymbolKind::Function }
+    }
+
+    fn with_symbols(symbols: Vec<Symbol>) -> Binary {
+        Binary::new(Arch::Arm32e, 0, vec![], symbols, vec![])
+    }
+
+    /// The linear scan the index replaced, kept as the reference: the
+    /// first function symbol in table order whose range holds `addr`,
+    /// where a range whose end wraps past 2³² covers nothing.
+    fn function_at_reference(bin: &Binary, addr: u32) -> Option<usize> {
+        bin.symbols().iter().position(|s| {
+            s.kind == SymbolKind::Function
+                && addr >= s.addr
+                && s.addr.checked_add(s.size).is_some_and(|end| addr < end)
+        })
+    }
+
+    #[test]
+    fn wrapping_function_range_covers_nothing() {
+        let b =
+            with_symbols(vec![func("wraps", 0xFFFF_FFF0, 0x20), func("top", 0xFFFF_FF00, 0x10)]);
+        assert_eq!(b.function_at(0xFFFF_FFFF), None);
+        assert_eq!(b.function_at(0xFFFF_FFF0), None);
+        assert_eq!(b.function_at(0x8), None);
+        assert_eq!(b.function_at(0xFFFF_FF0F).unwrap().name, "top");
+    }
+
+    #[test]
+    fn overlapping_functions_resolve_to_the_first_in_table_order() {
+        let b = with_symbols(vec![
+            func("inner", 0x1010, 0x10),
+            func("outer", 0x1000, 0x40),
+            func("empty", 0x1020, 0),
+        ]);
+        assert_eq!(b.function_at(0x1000).unwrap().name, "outer");
+        assert_eq!(b.function_at(0x1010).unwrap().name, "inner");
+        assert_eq!(b.function_at(0x101F).unwrap().name, "inner");
+        assert_eq!(b.function_at(0x1020).unwrap().name, "outer");
+        assert_eq!(b.function_at(0x1040), None);
+        assert_eq!(b.function_at(0xFFF), None);
+    }
+
+    #[test]
     fn total_size_sums_sections() {
         assert_eq!(sample_binary().total_size(), 8 + 6 + 64);
     }
@@ -516,20 +664,58 @@ mod tests {
 
         #[test]
         fn roundtrip_arbitrary_section_bytes(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let b = Binary {
-                arch: Arch::Mips32e,
-                entry: 0,
-                sections: vec![Section {
+            let b = Binary::new(
+                Arch::Mips32e,
+                0,
+                vec![Section {
                     name: ".text".into(),
                     kind: SectionKind::Text,
                     addr: 0x1000,
                     size: data.len() as u32,
                     data: data.clone(),
                 }],
-                symbols: vec![],
-                imports: vec![],
-            };
+                vec![],
+                vec![],
+            );
             prop_assert_eq!(Binary::from_bytes(&b.to_bytes()).unwrap(), b);
+        }
+
+        /// The index answers exactly as the linear reference scan over
+        /// overlapping, nested, zero-size, wrapping and non-function
+        /// symbols, probed at random addresses and at every range edge.
+        #[test]
+        fn indexed_function_at_matches_linear_scan(
+            table in proptest::collection::vec(
+                (
+                    prop_oneof![0u32..0x400, (u32::MAX - 0x100)..=u32::MAX],
+                    prop_oneof![Just(0u32), 1u32..0x80, Just(u32::MAX)],
+                    any::<bool>(),
+                ),
+                0..24,
+            ),
+            probes in proptest::collection::vec(any::<u32>(), 0..16),
+        ) {
+            let symbols: Vec<Symbol> = table
+                .iter()
+                .enumerate()
+                .map(|(i, &(addr, size, is_func))| Symbol {
+                    name: format!("s{i}"),
+                    addr,
+                    size,
+                    kind: if is_func { SymbolKind::Function } else { SymbolKind::Object },
+                })
+                .collect();
+            let edges = symbols.iter().flat_map(|s| {
+                let end = s.addr.wrapping_add(s.size);
+                [s.addr, s.addr.wrapping_sub(1), end, end.wrapping_sub(1)]
+            });
+            let b = with_symbols(symbols.clone());
+            for addr in probes.into_iter().chain(edges).chain([0, u32::MAX]) {
+                // Names are unique, so equal names mean equal table positions.
+                let indexed = b.function_at(addr).map(|s| s.name.as_str());
+                let expected = function_at_reference(&b, addr).map(|i| b.symbols()[i].name.as_str());
+                prop_assert_eq!(indexed, expected, "probe {:#x}", addr);
+            }
         }
     }
 }

@@ -342,7 +342,7 @@ impl BinaryBuilder {
             .map(|name| Import { name: name.clone(), stub_addr: stub_addrs[name] })
             .collect();
 
-        Ok(Binary { arch: self.arch, entry, sections, symbols, imports })
+        Ok(Binary::new(self.arch, entry, sections, symbols, imports))
     }
 }
 
@@ -442,7 +442,7 @@ mod tests {
         b.add_function("f", a);
         b.add_cstring("greeting", "hello");
         let bin = b.link().unwrap();
-        let obj = bin.symbols.iter().find(|s| s.name == "greeting").unwrap();
+        let obj = bin.symbols().iter().find(|s| s.name == "greeting").unwrap();
         let hi = bin.read_u32(TEXT_BASE).unwrap();
         let lo = bin.read_u32(TEXT_BASE + 4).unwrap();
         let MipsIns::Lui { imm: hi_imm, .. } = MipsIns::decode(hi, 0).unwrap() else { panic!() };

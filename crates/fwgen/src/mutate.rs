@@ -186,17 +186,16 @@ pub enum BinFault {
 
 /// Applies a [`BinFault`] to a copy of `bin`.
 pub fn corrupt_binary(bin: &Binary, fault: &BinFault) -> Binary {
-    let mut out = bin.clone();
+    let mut sections = bin.sections.clone();
+    let mut symbols = bin.symbols().to_vec();
     match fault {
         BinFault::GarbageOpcodes { index, seed } => {
-            let funcs = out.functions();
+            let funcs = bin.functions();
             if let Some(f) = funcs.get(*index) {
                 let (addr, size) = (f.addr, f.size);
                 let mut rng = Rng64::new(*seed);
-                if let Some(text) = out
-                    .sections
-                    .iter_mut()
-                    .find(|s| s.kind == SectionKind::Text && s.contains(addr))
+                if let Some(text) =
+                    sections.iter_mut().find(|s| s.kind == SectionKind::Text && s.contains(addr))
                 {
                     let start = (addr - text.addr) as usize;
                     let end = (start + size as usize).min(text.data.len());
@@ -209,29 +208,29 @@ pub fn corrupt_binary(bin: &Binary, fault: &BinFault) -> Binary {
             }
         }
         BinFault::LyingSectionSize { index } => {
-            if let Some(s) = out.sections.get_mut(*index) {
+            if let Some(s) = sections.get_mut(*index) {
                 s.size = u32::MAX - s.addr / 2;
             }
         }
         BinFault::WrappingSymbol { index } => {
-            if let Some(s) = out.symbols.get_mut(*index) {
+            if let Some(s) = symbols.get_mut(*index) {
                 s.addr = u32::MAX - 4;
                 s.size = 0x100;
             }
         }
         BinFault::OverlappingSymbols => {
-            let funcs = out.functions();
+            let funcs = bin.functions();
             if funcs.len() >= 2 {
                 let (first, second) = (funcs[0].addr, funcs[1].addr);
                 let span = second.saturating_sub(first) + 8;
-                if let Some(s) = out.symbols.iter_mut().find(|s| s.addr == first) {
+                if let Some(s) = symbols.iter_mut().find(|s| s.addr == first) {
                     s.size = span;
                 }
             }
         }
         BinFault::DanglingSymbol => {
-            let end = out.sections.iter().map(|s| s.addr.saturating_add(s.size)).max().unwrap_or(0);
-            out.symbols.push(Symbol {
+            let end = sections.iter().map(|s| s.addr.saturating_add(s.size)).max().unwrap_or(0);
+            symbols.push(Symbol {
                 name: "phantom".into(),
                 addr: end.saturating_add(0x1000),
                 size: 16,
@@ -239,7 +238,7 @@ pub fn corrupt_binary(bin: &Binary, fault: &BinFault) -> Binary {
             });
         }
     }
-    out
+    Binary::new(bin.arch, bin.entry, sections, symbols, bin.imports.clone())
 }
 
 /// The standard byte-level + structural sweep over one FBF binary,
@@ -311,7 +310,7 @@ pub fn fwi_fault_corpus(img: &FwImage, seed: u64) -> Vec<(String, Vec<u8>)> {
 /// helper for tests that want to distinguish "parses but is damaged"
 /// mutants from "must be rejected" mutants.
 pub fn symbols_mapped(bin: &Binary) -> bool {
-    bin.symbols.iter().all(|sym| {
+    bin.symbols().iter().all(|sym| {
         bin.sections
             .iter()
             .any(|s| s.contains(sym.addr) && sym.addr.saturating_add(sym.size) <= s.addr + s.size)
