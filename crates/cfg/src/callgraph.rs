@@ -1,6 +1,5 @@
-use crate::funcfg::FunctionCfg;
+use crate::funcfg::{CfgDigest, FunctionCfg};
 use dtaint_fwbin::Binary;
-use dtaint_ir::JumpKind;
 use std::collections::{HashMap, HashSet};
 
 /// What a call site targets.
@@ -50,17 +49,22 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the call graph from the binary and its function CFGs.
     pub fn build(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
-        let mut functions: Vec<u32> = cfgs.iter().map(|c| c.addr).collect();
+        let digests: Vec<CfgDigest> = cfgs.iter().map(FunctionCfg::digest).collect();
+        CallGraph::from_digests(bin, &digests)
+    }
+
+    /// Builds the call graph from per-function [`CfgDigest`]s, so the
+    /// CFGs themselves need not outlive their analysis.
+    pub fn from_digests(bin: &Binary, digests: &[CfgDigest]) -> CallGraph {
+        let mut functions: Vec<u32> = digests.iter().map(|d| d.addr).collect();
         functions.sort_unstable();
         let func_set: HashSet<u32> = functions.iter().copied().collect();
         let mut callsites = Vec::new();
         let mut edges: HashMap<u32, Vec<u32>> = HashMap::new();
-        for cfg in cfgs {
-            edges.entry(cfg.addr).or_default();
-            for (&baddr, block) in &cfg.blocks {
-                let JumpKind::Call { return_to } = block.jumpkind else { continue };
-                let ins_addr = block.end() - dtaint_fwbin::INS_SIZE;
-                let target = match block.next_const() {
+        for d in digests {
+            edges.entry(d.addr).or_default();
+            for call in &d.calls {
+                let target = match call.target {
                     Some(t) if func_set.contains(&t) => CallTarget::Direct(t),
                     Some(t) => match bin.import_at(t) {
                         Some(imp) => CallTarget::Import(imp.name.clone()),
@@ -71,16 +75,16 @@ impl CallGraph {
                     None => CallTarget::Indirect,
                 };
                 if let CallTarget::Direct(t) = target {
-                    let out = edges.entry(cfg.addr).or_default();
+                    let out = edges.entry(d.addr).or_default();
                     if !out.contains(&t) {
                         out.push(t);
                     }
                 }
                 callsites.push(Callsite {
-                    caller: cfg.addr,
-                    block: baddr,
-                    ins_addr,
-                    return_to,
+                    caller: d.addr,
+                    block: call.block,
+                    ins_addr: call.ins_addr,
+                    return_to: call.return_to,
                     target,
                 });
             }

@@ -27,7 +27,63 @@ pub struct FunctionCfg {
     pub back_edges: HashSet<(u32, u32)>,
 }
 
+/// What the pipeline keeps of a [`FunctionCfg`] once the function's
+/// symbolic analysis is done: its identity, its size, and the blocks
+/// the [`CallGraph`](crate::CallGraph) is built from. The IR itself is
+/// dropped, so a whole program's digests stay small.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CfgDigest {
+    /// Entry address.
+    pub addr: u32,
+    /// Function name from the symbol table.
+    pub name: String,
+    /// Number of basic blocks.
+    pub blocks: usize,
+    /// Number of intra-function control-flow edges.
+    pub edges: usize,
+    /// Every block ending in a call, in address order.
+    pub calls: Vec<CallBlock>,
+}
+
+/// A block ending in a call, before its target is classified against
+/// the program's function set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallBlock {
+    /// Block start address.
+    pub block: u32,
+    /// Address of the call instruction (the block's last word).
+    pub ins_addr: u32,
+    /// Address execution resumes at.
+    pub return_to: u32,
+    /// The constant call target, when direct.
+    pub target: Option<u32>,
+}
+
 impl FunctionCfg {
+    /// The compact record the call graph and report counts need.
+    pub fn digest(&self) -> CfgDigest {
+        let calls = self
+            .blocks
+            .iter()
+            .filter_map(|(&block, b)| match b.jumpkind {
+                JumpKind::Call { return_to } => Some(CallBlock {
+                    block,
+                    ins_addr: b.end() - INS_SIZE,
+                    return_to,
+                    target: b.next_const(),
+                }),
+                _ => None,
+            })
+            .collect();
+        CfgDigest {
+            addr: self.addr,
+            name: self.name.clone(),
+            blocks: self.block_count(),
+            edges: self.edge_count(),
+            calls,
+        }
+    }
+
     /// Number of basic blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
@@ -203,7 +259,8 @@ pub fn build_function_cfg(bin: &Binary, sym: &Symbol) -> Result<FunctionCfg> {
         };
         if is_term {
             let one = lift_block(bin, pc, pc + INS_SIZE)?;
-            for t in one.exit_targets() {
+            let exits = one.exit_targets();
+            for &t in &exits {
                 if (start..end).contains(&t) {
                     leaders.insert(t);
                 }
@@ -223,7 +280,7 @@ pub fn build_function_cfg(bin: &Binary, sym: &Symbol) -> Result<FunctionCfg> {
                 }
                 JumpKind::Ret => {}
             }
-            if pc + INS_SIZE < end && !one.exit_targets().is_empty() {
+            if pc + INS_SIZE < end && !exits.is_empty() {
                 leaders.insert(pc + INS_SIZE);
             }
         }

@@ -52,4 +52,4 @@ mod funcfg;
 
 pub use callgraph::{CallGraph, CallTarget, Callsite};
 pub use dominators::Dominators;
-pub use funcfg::{build_all_cfgs, build_function_cfg, FunctionCfg};
+pub use funcfg::{build_all_cfgs, build_function_cfg, CallBlock, CfgDigest, FunctionCfg};

@@ -10,7 +10,8 @@
 //!    [`dtaint_cfg`]),
 //! 2. run a per-function static symbolic analysis producing definition
 //!    pairs over `deref(base + offset)` variable descriptions
-//!    ([`dtaint_symex`]),
+//!    ([`dtaint_symex`]) — steps 1 and 2 are one streamed step per
+//!    function, which drops the function's IR once it is analysed,
 //! 3. recover pointer aliases, resolve indirect calls by data-structure
 //!    layout similarity, and propagate data flow bottom-up over the call
 //!    graph ([`dtaint_dataflow`]),

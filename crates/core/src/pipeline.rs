@@ -1,6 +1,6 @@
 //! The end-to-end DTaint pipeline (Figure 4 of the paper).
 //!
-//! `binary → IR/CFG → per-function symbolic analysis (parallel) →
+//! `binary → per-function IR/CFG + symbolic analysis (streamed, parallel) →
 //! pointer aliasing → layout similarity → bottom-up data flow →
 //! sink/source matching → findings`.
 
@@ -10,10 +10,10 @@ use crate::report::{
 };
 use crate::sinks::{default_sink_names, default_sources};
 use crate::taint;
-use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg};
+use dtaint_cfg::{build_function_cfg, CallGraph, CfgDigest, FunctionCfg};
 use dtaint_dataflow::cache::{env_digest, function_content_hash, sym_salt, Level};
 use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
-use dtaint_fwbin::Binary;
+use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::{analyze_function, canonical_encode, SummaryDecoder};
 use dtaint_symex::{ExprPool, FuncSummary, SymexConfig};
 use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
@@ -30,7 +30,8 @@ pub struct DtaintConfig {
     pub dataflow: DataflowConfig,
     /// Import names treated as attacker-controlled sources.
     pub sources: HashSet<String>,
-    /// Worker threads for the per-function analysis (0 = all cores).
+    /// Worker threads for the per-function lift + analysis and the
+    /// bottom-up propagation (0 = all cores).
     pub threads: usize,
     /// Enable the strict-bounds extension: constant length guards must
     /// fit the destination's stack capacity to count as sanitisation
@@ -164,70 +165,40 @@ impl Dtaint {
         // overwrite with a more severe outcome.
         let mut records: BTreeMap<u32, FunctionRecord> = BTreeMap::new();
 
-        // Stage 1: lift + CFGs + call graph. Each function lifts behind
-        // its own error and panic boundary; failures downgrade that one
-        // function to an opaque (absent) summary.
+        // Stages 1–2, fused: each function is lifted, analysed (static
+        // symbolic analysis, in parallel with private pools merged
+        // afterwards) and reduced to a `CfgDigest` in one step, so at
+        // most one CFG per worker is alive at a time. A lift failure or
+        // panic downgrades that one function to an opaque (absent)
+        // summary; a symex panic is rolled back out of its pool; a
+        // fuel-exhausted function is retried once degraded.
         let stage_t0 = tel.start();
         let t = Instant::now();
-        let mut syms: Vec<&dtaint_fwbin::Symbol> = bin.functions();
+        let mut syms: Vec<&Symbol> = bin.functions();
         if let Some(filter) = &self.config.function_filter {
             syms.retain(|s| filter.iter().any(|f| s.name.contains(f.as_str())));
         }
         let total_functions = syms.len();
-        let mut cfgs: Vec<FunctionCfg> = Vec::with_capacity(syms.len());
-        for s in &syms {
-            match catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s))) {
-                Ok(Ok(cfg)) => cfgs.push(cfg),
-                Ok(Err(e)) => {
-                    if self.config.fail_fast {
-                        return Err(e);
-                    }
-                    record(
-                        &mut records,
-                        s.addr,
-                        &s.name,
-                        FunctionOutcome::LiftFailed,
-                        e.to_string(),
-                    );
-                }
-                Err(_) => {
-                    if self.config.fail_fast {
-                        return Err(dtaint_fwbin::Error::BadFormat(format!(
-                            "panic while lifting `{}`",
-                            s.name
-                        )));
-                    }
-                    record(
-                        &mut records,
-                        s.addr,
-                        &s.name,
-                        FunctionOutcome::Panicked,
-                        "panic during lift/CFG construction".into(),
-                    );
-                }
-            }
-        }
-        let mut callgraph = CallGraph::build(bin, &cfgs);
-        let lift_cfg = t.elapsed();
-        tel.record("lift_cfg", "stage", stage_t0, BTreeMap::new());
-
-        // Stage 2: per-function static symbolic analysis, in parallel
-        // with private pools, merged afterwards. A panicking function is
-        // rolled back out of its pool and downgraded to an opaque
-        // summary; a fuel-exhausted one is retried once degraded.
-        let stage_t0 = tel.start();
-        let t = Instant::now();
         let sym_cache = self.config.cache.as_ref().map(|cref| SymexCacheCtx {
             cref: cref.clone(),
             salt: sym_salt(env_digest(bin), &self.config.symex),
         });
-        let stage = self.run_symex(bin, &cfgs, tel, sym_cache.as_ref());
-        let SymexStage { summaries, pool, records: symex_records, retried, retry_time } = stage;
+        let stage = self.lift_and_symex(bin, &syms, tel, sym_cache.as_ref())?;
+        let SymexStage {
+            digests,
+            summaries,
+            pool,
+            records: stage_records,
+            retried,
+            retry_time,
+            lift_busy,
+            symex_busy,
+        } = stage;
         // Decision audit log, assembled stage by stage in one canonical
         // order (symex budget → ddg prunes/budget/saturation → cache
         // quarantines → detect verdicts); empty unless auditing.
         let mut decisions: Vec<dtaint_telemetry::Decision> = Vec::new();
-        for (addr, name, outcome, detail) in symex_records {
+        for (addr, name, outcome, detail) in stage_records {
             if self.config.fail_fast && outcome == FunctionOutcome::Panicked {
                 return Err(dtaint_fwbin::Error::BadFormat(format!(
                     "panic while analyzing `{name}`"
@@ -250,8 +221,25 @@ impl Dtaint {
             }
             record(&mut records, addr, &name, outcome, detail);
         }
-        let ssa = t.elapsed();
-        tel.record("ssa", "stage", stage_t0, BTreeMap::new());
+        let fused = t.elapsed();
+        let t = Instant::now();
+        let mut callgraph = CallGraph::from_digests(bin, &digests);
+        let callgraph_time = t.elapsed();
+        // The fused wall time is split between the two stages in
+        // proportion to the summed per-function busy time; the
+        // call-graph build is lift_cfg's alone.
+        let busy = lift_busy + symex_busy;
+        let lift_share = if busy.is_zero() {
+            fused
+        } else {
+            fused.mul_f64(lift_busy.as_secs_f64() / busy.as_secs_f64())
+        };
+        let lift_cfg = lift_share + callgraph_time;
+        let ssa = fused.saturating_sub(lift_share);
+        push_stage_spans(tel, stage_t0, &[("lift_cfg", lift_cfg), ("ssa", ssa)]);
+        let functions = digests.len();
+        let blocks: usize = digests.iter().map(|d| d.blocks).sum();
+        let cfg_edges: usize = digests.iter().map(|d| d.edges).sum();
 
         // Stage 3: alias + layout similarity + bottom-up propagation.
         // The propagation walk shares the session thread count with the
@@ -259,7 +247,7 @@ impl Dtaint {
         let stage_t0 = tel.start();
         let t = Instant::now();
         let mut df_config = self.config.dataflow.clone();
-        df_config.threads = self.effective_threads(cfgs.len());
+        df_config.threads = self.effective_threads(functions);
         df_config.interval_guards |= self.config.interval_guards;
         df_config.audit = self.config.audit;
         df_config.trace = tel.is_enabled().then(|| TraceSpec { clock: tel.clock(), base_lane: 1 });
@@ -394,31 +382,21 @@ impl Dtaint {
         // The DDG sub-stages run back-to-back inside `build_dataflow`,
         // so their spans can be reconstructed from its timing breakdown
         // at the stage's start offset without plumbing a clock through.
-        if tel.is_enabled() {
-            let mut off = stage_t0;
-            for (nm, d) in [
+        push_stage_spans(
+            tel,
+            stage_t0,
+            &[
                 ("ddg_alias", df.timings.alias),
                 ("ddg_indirect", df.timings.indirect),
                 ("ddg_propagate", df.timings.propagate),
-            ] {
-                let dur = d.as_micros() as u64;
-                tel.push(SpanEvent {
-                    name: nm.to_owned(),
-                    cat: "stage".to_owned(),
-                    lane: 0,
-                    start_us: off,
-                    dur_us: dur,
-                    args: BTreeMap::new(),
-                });
-                off += dur;
-            }
-        }
+            ],
+        );
 
         // Stage 4: taint judgement.
         let stage_t0 = tel.start();
         let t = Instant::now();
         let fn_names: HashMap<u32, String> =
-            cfgs.iter().map(|c| (c.addr, c.name.clone())).collect();
+            digests.into_iter().map(|d| (d.addr, d.name)).collect();
         let mode = if self.config.interval_guards {
             taint::BoundsMode::Interval
         } else if self.config.strict_bounds {
@@ -596,9 +574,9 @@ impl Dtaint {
         metrics.set_gauge("image.symbols", stats.symbols as u64);
         metrics.set_gauge("image.imports", stats.imports as u64);
         metrics.set_gauge("image.code_bytes", stats.code_bytes);
-        metrics.set_gauge("image.functions", cfgs.len() as u64);
-        metrics.set_gauge("image.blocks", cfgs.iter().map(|c| c.block_count() as u64).sum());
-        metrics.set_gauge("image.cfg_edges", cfgs.iter().map(|c| c.edge_count() as u64).sum());
+        metrics.set_gauge("image.functions", functions as u64);
+        metrics.set_gauge("image.blocks", blocks as u64);
+        metrics.set_gauge("image.cfg_edges", cfg_edges as u64);
         metrics.set_gauge("image.call_graph_edges", callgraph.edge_count() as u64);
         metrics.set_gauge("image.sinks", sinks_count as u64);
         metrics.set_gauge("image.resolved_indirect", df.resolved_indirect.len() as u64);
@@ -654,7 +632,7 @@ impl Dtaint {
         // so it is an allocation statistic, not a thread-invariant
         // logical count.
         let mut root_args = BTreeMap::new();
-        root_args.insert("functions".to_owned(), cfgs.len() as u64);
+        root_args.insert("functions".to_owned(), functions as u64);
         root_args.insert("findings".to_owned(), outcome.findings.len() as u64);
         root_args.insert("pool_nodes".to_owned(), df.pool.len() as u64);
         tel.record(name, "scan", scan_t0, root_args);
@@ -684,8 +662,8 @@ impl Dtaint {
         Ok(AnalysisReport {
             binary_name: name.to_owned(),
             arch: bin.arch.to_string(),
-            functions: cfgs.len(),
-            blocks: cfgs.iter().map(|c| c.block_count()).sum(),
+            functions,
+            blocks,
             call_graph_edges: callgraph.edge_count(),
             sinks_count,
             resolved_indirect: df.resolved_indirect.len(),
@@ -714,45 +692,175 @@ impl Dtaint {
         threads.clamp(1, work_items.max(1))
     }
 
-    /// Runs the per-function symbolic analysis, parallelised with
-    /// crossbeam scoped threads; each worker interns into a private pool
-    /// that is translated into the global pool at the end. Per-function
-    /// panics are caught and rolled back out of the pool; fuel
-    /// exhaustion triggers one degraded retry (see [`symex_one`]).
-    fn run_symex(
+    /// Runs the fused lift + symbolic-analysis stage over `syms`,
+    /// parallelised with crossbeam scoped threads. Every function goes
+    /// through the one [`lift_symex_chunk`] step whether sequential or
+    /// in a worker; each worker interns into a private pool that is
+    /// translated into the global pool at the end.
+    ///
+    /// # Errors
+    ///
+    /// In fail-fast mode, the first lift failure in address order —
+    /// before any cache store, exactly as when lift ran to completion
+    /// first. Symex panics are left to the caller.
+    fn lift_and_symex(
         &self,
         bin: &Binary,
-        cfgs: &[FunctionCfg],
+        syms: &[&Symbol],
         tel: &mut Collector,
         cache: Option<&SymexCacheCtx>,
-    ) -> SymexStage {
-        let threads = self.effective_threads(cfgs.len());
+    ) -> dtaint_fwbin::Result<SymexStage> {
+        let threads = self.effective_threads(syms.len());
+        let (symex, fail_fast) = (self.config.symex, self.config.fail_fast);
         let mut stage = SymexStage {
-            summaries: Vec::with_capacity(cfgs.len()),
+            digests: Vec::with_capacity(syms.len()),
+            summaries: Vec::with_capacity(syms.len()),
             pool: ExprPool::new(),
             records: Vec::new(),
             retried: 0,
             retry_time: Duration::ZERO,
+            lift_busy: Duration::ZERO,
+            symex_busy: Duration::ZERO,
         };
-        // One span per function, carrying its logical counters as args.
-        // Recording is a worker-local append guarded by the enabled
-        // flag, so the disabled path costs one branch per function.
-        let span = |buf: &mut TraceBuffer, c: &FunctionCfg, one: &SymexOne, t0: u64| {
-            if buf.is_enabled() {
-                let mut args = BTreeMap::new();
-                args.insert("addr".to_owned(), u64::from(c.addr));
-                args.insert("blocks".to_owned(), u64::from(one.summary.blocks_executed));
-                args.insert("paths".to_owned(), u64::from(one.summary.paths_explored));
-                buf.record(&c.name, "symex_fn", t0, args);
-            }
-        };
-        if threads <= 1 || cfgs.len() < 8 {
+        // Each part is a chunk's steps plus the private pool they were
+        // interned into (`None`: the master pool, on the sequential path).
+        let mut parts: Vec<(Chunk, Option<ExprPool>)> = if threads <= 1 || syms.len() < 8 {
             let mut buf = tel.buffer(1);
-            for c in cfgs {
+            let chunk =
+                lift_symex_chunk(bin, syms, &mut stage.pool, &mut buf, &symex, cache, fail_fast);
+            tel.absorb(buf.into_events());
+            vec![(chunk, None)]
+        } else {
+            let chunk = syms.len().div_ceil(threads);
+            let clock = tel.clock();
+            let on = tel.is_enabled();
+            let parts: Vec<(Chunk, ExprPool, Vec<SpanEvent>)> = crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = syms
+                    .chunks(chunk)
+                    .enumerate()
+                    .map(|(widx, slice)| {
+                        scope.spawn(move |_| {
+                            let mut pool = ExprPool::new();
+                            let mut buf = TraceBuffer::new(clock, 1 + widx as u32, on);
+                            let chunk = lift_symex_chunk(
+                                bin, slice, &mut pool, &mut buf, &symex, cache, fail_fast,
+                            );
+                            (chunk, pool, buf.into_events())
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("symex worker panicked")).collect()
+            })
+            .expect("crossbeam scope");
+            // Absorbed in chunk (spawn) order, so the merged event
+            // stream is deterministic for a given thread count.
+            parts
+                .into_iter()
+                .map(|(chunk, pool, events)| {
+                    tel.absorb(events);
+                    (chunk, Some(pool))
+                })
+                .collect()
+        };
+        if fail_fast {
+            let first = parts
+                .iter_mut()
+                .flat_map(|(c, _)| c.steps.iter_mut())
+                .find_map(|s| s.as_mut().err().and_then(|f| f.error.take()));
+            if let Some(e) = first {
+                return Err(e);
+            }
+        }
+        // Cache stats and stores settle here, master-side and in address
+        // order; the canonical encoding is pool-independent, so encoding
+        // from a worker's pool stores byte-identical blobs to a
+        // sequential run. Lift failures are recorded ahead of symex
+        // outcomes.
+        let mut symex_records = Vec::new();
+        for (chunk, local) in parts {
+            stage.lift_busy += chunk.lift_busy;
+            stage.symex_busy += chunk.symex_busy;
+            for step in chunk.steps {
+                match step {
+                    Err(LiftFailure { addr, name, outcome, detail, .. }) => {
+                        stage.records.push((addr, name, outcome, detail));
+                    }
+                    Ok(Analyzed { digest, one, key, was_hit }) => {
+                        if let Some(cc) = cache {
+                            cc.settle(local.as_ref().unwrap_or(&stage.pool), &one, key, was_hit);
+                        }
+                        stage.digests.push(digest);
+                        if let Some(r) = stage.absorb(one, local.as_ref()) {
+                            symex_records.push(r);
+                        }
+                    }
+                }
+            }
+        }
+        stage.records.append(&mut symex_records);
+        Ok(stage)
+    }
+}
+
+/// One chunk's output from [`lift_symex_chunk`].
+struct Chunk {
+    steps: Vec<Step>,
+    /// Summed wall time spent lifting and in symex (cache probe
+    /// included), for the stage-timing split.
+    lift_busy: Duration,
+    symex_busy: Duration,
+}
+
+/// One function through the fused stage: lifted and analysed, or not
+/// lifted.
+type Step = Result<Analyzed, LiftFailure>;
+
+/// A function lifted and analysed (or served from the cache); its CFG
+/// is already dropped.
+struct Analyzed {
+    digest: CfgDigest,
+    one: SymexOne,
+    key: Option<u64>,
+    was_hit: bool,
+}
+
+/// A function whose lift failed or panicked.
+struct LiftFailure {
+    addr: u32,
+    name: String,
+    outcome: FunctionOutcome,
+    detail: String,
+    /// What fail-fast returns (taken when it does).
+    error: Option<dtaint_fwbin::Error>,
+}
+
+/// The per-function step, shared by the sequential path and every
+/// worker: lift `s` behind its own error and panic boundary, probe the
+/// symex cache or run [`symex_one`] into `pool`, keep the CFG's digest
+/// and drop the CFG. Under fail-fast the chunk stops at its first lift
+/// failure, which pre-empts everything after it.
+fn lift_symex_chunk(
+    bin: &Binary,
+    syms: &[&Symbol],
+    pool: &mut ExprPool,
+    buf: &mut TraceBuffer,
+    config: &SymexConfig,
+    cache: Option<&SymexCacheCtx>,
+    fail_fast: bool,
+) -> Chunk {
+    let mut out =
+        Chunk { steps: Vec::new(), lift_busy: Duration::ZERO, symex_busy: Duration::ZERO };
+    for s in syms {
+        let t = Instant::now();
+        let lifted = catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s)));
+        out.lift_busy += t.elapsed();
+        let (outcome, detail, error) = match lifted {
+            Ok(Ok(cfg)) => {
+                let t = Instant::now();
                 let t0 = buf.start();
-                let key = cache.and_then(|cc| cc.key(bin, c));
+                let key = cache.and_then(|cc| cc.key(bin, &cfg));
                 let hit = match (cache, key) {
-                    (Some(cc), Some(k)) => cc.probe(k, &mut stage.pool),
+                    (Some(cc), Some(k)) => cc.probe(k, pool),
                     _ => None,
                 };
                 let was_hit = hit.is_some();
@@ -763,76 +871,60 @@ impl Dtaint {
                         retried: false,
                         retry_time: Duration::ZERO,
                     },
-                    None => symex_one(bin, c, &mut stage.pool, &self.config.symex),
+                    None => symex_one(bin, &cfg, pool, config),
                 };
-                span(&mut buf, c, &one, t0);
-                if let Some(cc) = cache {
-                    cc.settle(&stage.pool, &one, key, was_hit);
+                // One span per function, carrying its logical counters
+                // as args; the disabled path costs one branch.
+                if buf.is_enabled() {
+                    let mut args = BTreeMap::new();
+                    args.insert("addr".to_owned(), u64::from(cfg.addr));
+                    args.insert("blocks".to_owned(), u64::from(one.summary.blocks_executed));
+                    args.insert("paths".to_owned(), u64::from(one.summary.paths_explored));
+                    buf.record(&cfg.name, "symex_fn", t0, args);
                 }
-                stage.absorb(one, None);
+                out.symex_busy += t.elapsed();
+                out.steps.push(Ok(Analyzed { digest: cfg.digest(), one, key, was_hit }));
+                continue;
             }
-            tel.absorb(buf.into_events());
-            return stage;
+            Ok(Err(e)) => (FunctionOutcome::LiftFailed, e.to_string(), e),
+            Err(_) => (
+                FunctionOutcome::Panicked,
+                "panic during lift/CFG construction".to_owned(),
+                dtaint_fwbin::Error::BadFormat(format!("panic while lifting `{}`", s.name)),
+            ),
+        };
+        out.steps.push(Err(LiftFailure {
+            addr: s.addr,
+            name: s.name.clone(),
+            outcome,
+            detail,
+            error: Some(error),
+        }));
+        if fail_fast {
+            break;
         }
-        let chunk = cfgs.len().div_ceil(threads);
-        let clock = tel.clock();
-        let on = tel.is_enabled();
-        type SymexItem = (SymexOne, Option<u64>, bool);
-        let parts: Vec<(Vec<SymexItem>, ExprPool, Vec<SpanEvent>)> =
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (widx, slice) in cfgs.chunks(chunk).enumerate() {
-                    let symex = self.config.symex;
-                    handles.push(scope.spawn(move |_| {
-                        let mut pool = ExprPool::new();
-                        let mut buf = TraceBuffer::new(clock, 1 + widx as u32, on);
-                        let out: Vec<SymexItem> = slice
-                            .iter()
-                            .map(|c| {
-                                let t0 = buf.start();
-                                // Cache probe in the private pool; local
-                                // summaries are unknown-free, so decoded
-                                // ids translate like any cold result.
-                                let key = cache.and_then(|cc| cc.key(bin, c));
-                                let hit = match (cache, key) {
-                                    (Some(cc), Some(k)) => cc.probe(k, &mut pool),
-                                    _ => None,
-                                };
-                                let was_hit = hit.is_some();
-                                let one = match hit {
-                                    Some(summary) => SymexOne {
-                                        summary,
-                                        record: None,
-                                        retried: false,
-                                        retry_time: Duration::ZERO,
-                                    },
-                                    None => symex_one(bin, c, &mut pool, &symex),
-                                };
-                                span(&mut buf, c, &one, t0);
-                                (one, key, was_hit)
-                            })
-                            .collect();
-                        (out, pool, buf.into_events())
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().expect("symex worker panicked")).collect()
-            })
-            .expect("crossbeam scope");
-        // Absorbed in chunk (spawn) order, so the merged event stream is
-        // deterministic for a given thread count. Cache stats and stores
-        // settle here, master-side, for the same reason; the canonical
-        // encoding is pool-independent, so encoding from the worker's
-        // pool stores byte-identical blobs to a sequential run.
-        for (ones, local, events) in parts {
-            tel.absorb(events);
-            for (one, key, was_hit) in ones {
-                if let Some(cc) = cache {
-                    cc.settle(&local, &one, key, was_hit);
-                }
-                stage.absorb(one, Some(&local));
-            }
-        }
-        stage
+    }
+    out
+}
+
+/// Appends back-to-back lane-0 stage spans starting at `start_us`, for
+/// stages whose durations are known only after the fact.
+fn push_stage_spans(tel: &mut Collector, start_us: u64, stages: &[(&str, Duration)]) {
+    if !tel.is_enabled() {
+        return;
+    }
+    let mut off = start_us;
+    for &(name, d) in stages {
+        let dur = d.as_micros() as u64;
+        tel.push(SpanEvent {
+            name: name.to_owned(),
+            cat: "stage".to_owned(),
+            lane: 0,
+            start_us: off,
+            dur_us: dur,
+            args: BTreeMap::new(),
+        });
+        off += dur;
     }
 }
 
@@ -891,32 +983,43 @@ impl SymexCacheCtx {
     }
 }
 
-/// Result of the symbolic-execution stage.
+/// Result of the fused lift + symbolic-execution stage.
 struct SymexStage {
+    /// Digests of the lifted functions, in address order.
+    digests: Vec<CfgDigest>,
     summaries: Vec<FuncSummary>,
     pool: ExprPool,
-    /// `(addr, name, outcome, detail)` for every non-Analyzed function.
+    /// `(addr, name, outcome, detail)` for every non-Analyzed function:
+    /// lift failures first, then symex outcomes.
     records: Vec<(u32, String, FunctionOutcome, String)>,
     retried: usize,
     retry_time: Duration,
+    lift_busy: Duration,
+    symex_busy: Duration,
 }
 
 impl SymexStage {
     /// Folds one function's result in, translating its summary from the
-    /// worker's private pool when one is given.
-    fn absorb(&mut self, one: SymexOne, local: Option<&ExprPool>) {
+    /// worker's private pool when one is given; returns its outcome
+    /// record, if any.
+    fn absorb(
+        &mut self,
+        one: SymexOne,
+        local: Option<&ExprPool>,
+    ) -> Option<(u32, String, FunctionOutcome, String)> {
         let summary = match local {
             Some(local) => one.summary.translate_into(local, &mut self.pool),
             None => one.summary,
         };
-        if let Some((outcome, detail)) = one.record {
-            self.records.push((summary.addr, summary.name.clone(), outcome, detail));
-        }
+        let record = one
+            .record
+            .map(|(outcome, detail)| (summary.addr, summary.name.clone(), outcome, detail));
         if one.retried {
             self.retried += 1;
             self.retry_time += one.retry_time;
         }
         self.summaries.push(summary);
+        record
     }
 }
 

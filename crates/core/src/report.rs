@@ -233,9 +233,14 @@ pub struct FunctionRecord {
 /// Wall-clock cost of each pipeline stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTimings {
-    /// Lifting + CFG + call-graph construction.
+    /// Lifting + CFG + call-graph construction. Lift runs fused with
+    /// symex, one function at a time per worker, so this is that fused
+    /// stage's wall time scaled by lift's share of the summed
+    /// per-function lift + symex busy time, plus the call-graph build.
     pub lift_cfg: Duration,
-    /// Static symbolic analysis over all functions (Table VII "SSA").
+    /// Static symbolic analysis over all functions (Table VII "SSA"):
+    /// the fused lift + symex stage's wall time scaled by symex's share
+    /// of the summed per-function busy time (see `lift_cfg`).
     pub ssa: Duration,
     /// Alias + layout + bottom-up propagation (Table VII "DDG").
     pub ddg: Duration,

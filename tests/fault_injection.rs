@@ -362,3 +362,106 @@ fn fail_fast_aborts_where_keep_going_reports() {
     let err = Dtaint::with_config(fast).analyze(&fw.binary, "aborted");
     assert!(err.is_err(), "fail-fast must abort on the drilled panic");
 }
+
+/// A garbage-opcode mutant of `fw` whose `index`-th function really
+/// fails to lift (some garbage words happen to decode), with the first
+/// seed that achieves it.
+fn lift_failing_mutant(fw: &dtaint_fwgen::GeneratedFirmware, index: usize) -> Binary {
+    (0u64..256)
+        .map(|seed| corrupt_binary(&fw.binary, &BinFault::GarbageOpcodes { index, seed }))
+        .find(|m| dtaint_cfg::build_function_cfg(m, m.functions()[index]).is_err())
+        .expect("some seed yields undecodable garbage")
+}
+
+/// fail-fast precedence: a symex panic on a low-address function and
+/// a lift failure on a higher one must abort with the *lift* error —
+/// lift failures pre-empt symex panics, as when every function was
+/// lifted before any was analyzed — with the same text at every thread
+/// count.
+#[test]
+fn fail_fast_lift_failure_wins_over_earlier_symex_panic() {
+    let fw = small_firmware();
+    let mutant = lift_failing_mutant(&fw, 3);
+    let victim = mutant.functions()[0].addr;
+    let drill = SymexConfig { panic_on: Some(victim), ..Default::default() };
+    let kept = Dtaint::with_config(DtaintConfig { symex: drill, ..Default::default() })
+        .analyze(&mutant, "kept")
+        .expect("keep-going scan yields a report");
+    let lift = kept
+        .skipped_functions
+        .iter()
+        .find(|r| r.outcome == FunctionOutcome::LiftFailed)
+        .expect("the mutant function fails to lift");
+    assert!(kept
+        .skipped_functions
+        .iter()
+        .any(|r| r.addr == victim && r.outcome == FunctionOutcome::Panicked && r.addr < lift.addr));
+    let errors: Vec<String> = [1usize, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            let config =
+                DtaintConfig { threads, symex: drill, fail_fast: true, ..Default::default() };
+            Dtaint::with_config(config)
+                .analyze(&mutant, "aborted")
+                .expect_err("fail-fast must abort")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(errors[0], lift.detail, "the lift error, not the symex panic");
+    assert_eq!(errors[0], errors[1], "t=1 vs t=2");
+    assert_eq!(errors[0], errors[2], "t=1 vs t=8");
+}
+
+/// Every binary-level fault kind: findings, the skip set, the
+/// analyzed/skipped counts and the `image.*` gauges are bit-identical
+/// at 1, 2 and 8 threads (and a scan that errors errors identically).
+#[test]
+fn every_bin_fault_is_thread_invariant() {
+    let fw = small_firmware();
+    let mutants = [
+        ("garbage-opcodes".to_owned(), lift_failing_mutant(&fw, 2)),
+        (
+            "lying-section-size".to_owned(),
+            corrupt_binary(&fw.binary, &BinFault::LyingSectionSize { index: 0 }),
+        ),
+        (
+            "wrapping-symbol".to_owned(),
+            corrupt_binary(&fw.binary, &BinFault::WrappingSymbol { index: 1 }),
+        ),
+        (
+            "overlapping-symbols".to_owned(),
+            corrupt_binary(&fw.binary, &BinFault::OverlappingSymbols),
+        ),
+        ("dangling-symbol".to_owned(), corrupt_binary(&fw.binary, &BinFault::DanglingSymbol)),
+    ];
+    for (fault, mutant) in &mutants {
+        let snapshots: Vec<String> = [1usize, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                match Dtaint::with_config(config_threads(threads)).analyze(mutant, "m") {
+                    Ok(r) => {
+                        let gauges: Vec<(String, u64)> = r
+                            .telemetry
+                            .metrics
+                            .gauges
+                            .iter()
+                            .filter(|(k, _)| k.starts_with("image."))
+                            .map(|(k, v)| (k.clone(), *v))
+                            .collect();
+                        format!(
+                            "{:?}|{:?}|{}|{}|{:?}",
+                            r.findings,
+                            r.skipped_functions,
+                            r.functions_analyzed,
+                            r.functions_skipped,
+                            gauges
+                        )
+                    }
+                    Err(e) => format!("error: {e}"),
+                }
+            })
+            .collect();
+        assert_eq!(snapshots[0], snapshots[1], "{fault}: t=1 vs t=2");
+        assert_eq!(snapshots[0], snapshots[2], "{fault}: t=1 vs t=8");
+    }
+}
