@@ -15,7 +15,7 @@ use dtaint_dataflow::cache::{env_digest, function_content_hash, sym_salt, Level}
 use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::{analyze_function, canonical_encode, SummaryDecoder};
-use dtaint_symex::{ExprPool, FuncSummary, SymexConfig};
+use dtaint_symex::{ExprId, ExprPool, FastMap, FuncSummary, SymexConfig};
 use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,8 +30,8 @@ pub struct DtaintConfig {
     pub dataflow: DataflowConfig,
     /// Import names treated as attacker-controlled sources.
     pub sources: HashSet<String>,
-    /// Worker threads for the per-function lift + analysis and the
-    /// bottom-up propagation (0 = all cores).
+    /// Worker threads for the per-function lift + analysis (0 = all
+    /// cores). The bottom-up propagation is sequential.
     pub threads: usize,
     /// Enable the strict-bounds extension: constant length guards must
     /// fit the destination's stack capacity to count as sanitisation
@@ -241,13 +241,11 @@ impl Dtaint {
         let blocks: usize = digests.iter().map(|d| d.blocks).sum();
         let cfg_edges: usize = digests.iter().map(|d| d.edges).sum();
 
-        // Stage 3: alias + layout similarity + bottom-up propagation.
-        // The propagation walk shares the session thread count with the
-        // symbolic stage; results are identical for every value.
+        // Stage 3: alias + layout similarity + bottom-up propagation,
+        // all on this thread.
         let stage_t0 = tel.start();
         let t = Instant::now();
         let mut df_config = self.config.dataflow.clone();
-        df_config.threads = self.effective_threads(functions);
         df_config.interval_guards |= self.config.interval_guards;
         df_config.audit = self.config.audit;
         df_config.trace = tel.is_enabled().then(|| TraceSpec { clock: tel.clock(), base_lane: 1 });
@@ -778,6 +776,7 @@ impl Dtaint {
         // outcomes.
         let mut symex_records = Vec::new();
         for (chunk, local) in parts {
+            let mut memo = FastMap::default();
             stage.lift_busy += chunk.lift_busy;
             stage.symex_busy += chunk.symex_busy;
             for step in chunk.steps {
@@ -790,7 +789,7 @@ impl Dtaint {
                             cc.settle(local.as_ref().unwrap_or(&stage.pool), &one, key, was_hit);
                         }
                         stage.digests.push(digest);
-                        if let Some(r) = stage.absorb(one, local.as_ref()) {
+                        if let Some(r) = stage.absorb(one, local.as_ref(), &mut memo) {
                             symex_records.push(r);
                         }
                     }
@@ -1001,14 +1000,16 @@ struct SymexStage {
 impl SymexStage {
     /// Folds one function's result in, translating its summary from the
     /// worker's private pool when one is given; returns its outcome
-    /// record, if any.
+    /// record, if any. `memo` carries translations across every summary
+    /// of the same private pool, so shared sub-terms are translated once.
     fn absorb(
         &mut self,
         one: SymexOne,
         local: Option<&ExprPool>,
+        memo: &mut FastMap<ExprId, ExprId>,
     ) -> Option<(u32, String, FunctionOutcome, String)> {
         let summary = match local {
-            Some(local) => one.summary.translate_into(local, &mut self.pool),
+            Some(local) => one.summary.translate_into_with(local, &mut self.pool, memo),
             None => one.summary,
         };
         let record = one

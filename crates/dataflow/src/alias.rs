@@ -13,8 +13,7 @@
 //! so data flow through either name connects.
 
 use dtaint_symex::pool::{ExprPool, SymNode};
-use dtaint_symex::{DefPair, ExprId, FuncSummary};
-use std::collections::HashSet;
+use dtaint_symex::{DefPair, ExprId, FastSet, FuncSummary};
 
 /// One recognised alias: `name` (a `deref(…)` expression) holds the value
 /// `base + offset`.
@@ -127,7 +126,7 @@ pub fn alias_replace(summary: &mut FuncSummary, pool: &mut ExprPool) -> Vec<Alia
     // Collect ALIAS: defs of Formula-(1) shape. Hashed dedup keeps
     // collection linear; the Vec preserves deterministic discovery order.
     let mut aliases: Vec<AliasEntry> = Vec::new();
-    let mut alias_seen: HashSet<AliasEntry> = HashSet::new();
+    let mut alias_seen: FastSet<AliasEntry> = FastSet::default();
     for dp in &summary.def_pairs {
         if !matches!(pool.node(dp.d), SymNode::Deref { .. }) {
             continue;
@@ -177,7 +176,7 @@ pub fn alias_replace(summary: &mut FuncSummary, pool: &mut ExprPool) -> Vec<Alia
             }
         }
     }
-    let mut existing: HashSet<(ExprId, ExprId)> =
+    let mut existing: FastSet<(ExprId, ExprId)> =
         summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
     let mut appended = 0u32;
     for p in new_pairs {

@@ -26,7 +26,7 @@
 //! never thread counts or trace settings, which are observationally
 //! irrelevant. Blobs are pool-free ([`dtaint_symex::encode`]); unknowns
 //! rehydrate through per-scan ownership tables, renumbered onto the
-//! destination pool exactly like a fork merge.
+//! destination pool's unknown counter in the cold run's creation order.
 //!
 //! Functions whose symex stage reported any non-`Analyzed` outcome are
 //! listed in [`CacheRef::uncacheable`] and are never stored (their keys
@@ -637,9 +637,9 @@ fn write_opt_u32(h: &mut Fnv64, v: Option<u32>) {
 /// local summary is a deterministic function of the bytes plus the
 /// config (in the salt) and the rest-of-image context (in the
 /// environment digest), while its pool *structure* varies with the
-/// merge path that absorbed it (the parallel merge rebuilds expressions
-/// through normalizing constructors), so hashing it would make keys
-/// thread-count-dependent.
+/// merge path that absorbed it (the parallel symex merge rebuilds
+/// expressions through normalizing constructors), so hashing it would
+/// make keys thread-count-dependent.
 pub fn function_content_hash(salt: u64, addr: u32, name: &str, bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(salt);

@@ -19,8 +19,8 @@
 
 use crate::interproc::ProgramDataflow;
 use dtaint_symex::pool::SymNode;
-use dtaint_symex::ExprId;
-use std::collections::{HashMap, HashSet};
+use dtaint_symex::{ExprId, FastMap, FastSet};
+use std::collections::HashSet;
 
 /// One step of a sink-to-source path (printed source-first).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,7 +104,7 @@ impl Ddg {
     pub fn build(df: &ProgramDataflow, sources: &HashSet<String>) -> Ddg {
         let mut nodes = Vec::new();
         // Source nodes, indexed by call site.
-        let mut source_idx: HashMap<u32, usize> = HashMap::new();
+        let mut source_idx: FastMap<u32, usize> = FastMap::default();
         for (&cs, name) in &df.import_sites {
             if sources.contains(name) {
                 source_idx.insert(cs, nodes.len());
@@ -169,7 +169,7 @@ impl Ddg {
                 reverse[b].push(a);
             }
         }
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         let mut stack = vec![target];
         let mut out = Vec::new();
         while let Some(n) = stack.pop() {
@@ -204,7 +204,7 @@ pub fn backward_trace(
     max_depth: usize,
 ) -> Vec<TraceStep> {
     let Some(holder) = df.finals.get(&holder_fn) else { return Vec::new() };
-    let mut visited: HashSet<ExprId> = HashSet::new();
+    let mut visited: FastSet<ExprId> = FastSet::default();
     let mut steps: Vec<TraceStep> = Vec::new();
     if dfs(df, holder, sink_expr, sources, max_depth, &mut visited, &mut steps) {
         // The DFS pushes the source at the deepest point and each def as
@@ -224,7 +224,7 @@ fn dfs(
     expr: ExprId,
     sources: &HashSet<String>,
     depth: usize,
-    visited: &mut HashSet<ExprId>,
+    visited: &mut FastSet<ExprId>,
     steps: &mut Vec<TraceStep>,
 ) -> bool {
     if !visited.insert(expr) {

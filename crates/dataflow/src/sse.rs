@@ -39,8 +39,7 @@
 use crate::alias::{AliasConfig, AliasEntry};
 use dtaint_fwbin::{Binary, SymbolKind};
 use dtaint_symex::pool::{ExprPool, SymNode};
-use dtaint_symex::{DefPair, ExprId, FuncSummary};
-use std::collections::{HashMap, HashSet};
+use dtaint_symex::{DefPair, ExprId, FastMap, FastSet, FuncSummary};
 
 /// Resolves a constant address to the base address of the writable
 /// global object containing it — the `global_base` oracle the SSE pass
@@ -193,19 +192,19 @@ pub fn sse_replace(
     }
 
     // (d, u) pairs already present — the append-side dedup.
-    let mut seen: HashSet<(ExprId, ExprId)> =
+    let mut seen: FastSet<(ExprId, ExprId)> =
         summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
 
     // Expressions used as a deref base anywhere in the summary. The
     // executor only types load/store bases it saw locally; a callee's
     // buffer argument is still a pointer if *we* deref it.
-    let mut deref_bases: HashSet<ExprId> = HashSet::new();
+    let mut deref_bases: FastSet<ExprId> = FastSet::default();
     let mut scratch: Vec<ExprId> = Vec::new();
 
     let mut aliases: Vec<AliasEntry> = Vec::new();
-    let mut alias_seen: HashSet<AliasEntry> = HashSet::new();
+    let mut alias_seen: FastSet<AliasEntry> = FastSet::default();
     // Alias indices by base expression, in discovery order.
-    let mut by_base: HashMap<ExprId, Vec<usize>> = HashMap::new();
+    let mut by_base: FastMap<ExprId, Vec<usize>> = FastMap::default();
     let mut bases_scanned = 0usize;
 
     // Pair indices appended by the previous round; the work list when
@@ -327,7 +326,7 @@ fn push_twin(
     to: ExprId,
     pool: &mut ExprPool,
     cfg: &AliasConfig,
-    seen: &mut HashSet<(ExprId, ExprId)>,
+    seen: &mut FastSet<(ExprId, ExprId)>,
     appended: &mut Vec<DefPair>,
     stats: &mut SseStats,
 ) {
@@ -354,7 +353,7 @@ fn alias_entry(
     summary: &FuncSummary,
     pool: &mut ExprPool,
     dp: &DefPair,
-    deref_bases: &HashSet<ExprId>,
+    deref_bases: &FastSet<ExprId>,
     global_base: &dyn Fn(i64) -> Option<i64>,
 ) -> Option<AliasEntry> {
     canonicalize(pool, dp.d)?;

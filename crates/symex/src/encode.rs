@@ -6,11 +6,10 @@
 //!
 //! * a **canonical byte string** of a summary, used as hash input for
 //!   content keys — identical regardless of how the pool happens to be
-//!   laid out (interleaved functions, fork merges, thread counts);
+//!   laid out (interleaved functions, worker merges, thread counts);
 //! * a **rehydratable blob**: the same byte string, decodable into any
 //!   pool by re-interning every node, with [`SymNode::Unknown`] indices
-//!   renumbered onto the destination pool's counter — the same
-//!   discipline [`ExprPool::translate_fork`] applies at merge time.
+//!   renumbered onto the destination pool's counter.
 //!
 //! Both come from one encoder. Expressions serialise as a memoised
 //! post-order node table (children precede parents, each node written
@@ -23,10 +22,10 @@
 //! summary whose content depends on pool-global counters simply has no
 //! canonical form and is never content-keyed.
 
+use crate::hash::FastMap;
 use crate::pool::{CmpOp, ExprId, ExprPool, SymNode};
 use crate::summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy};
 use crate::types::VType;
-use std::collections::HashMap;
 
 /// FNV-1a 64-bit, the content hash of the cache keys. Stable across
 /// platforms and runs; no dependency, no randomised state.
@@ -165,7 +164,7 @@ pub type UnknownMapper<'m> = &'m mut dyn FnMut(u32) -> Option<(u32, u32)>;
 pub struct SummaryEncoder<'p, 'm> {
     pool: &'p ExprPool,
     map_unknown: UnknownMapper<'m>,
-    memo: HashMap<u32, u32>,
+    memo: FastMap<u32, u32>,
     table: Vec<u8>,
     count: u32,
     failed: bool,
@@ -178,7 +177,7 @@ impl<'p, 'm> SummaryEncoder<'p, 'm> {
         SummaryEncoder {
             pool,
             map_unknown,
-            memo: HashMap::new(),
+            memo: FastMap::default(),
             table: Vec::new(),
             count: 0,
             failed: false,

@@ -7,6 +7,7 @@
 //! in the same loop are only analyzed once* (per path), and binding a
 //! fresh `ret_{callsite}` symbol at every call.
 
+use crate::hash::{FastMap, FastSet};
 use crate::libsig::{lib_sig, WriteEffect};
 use crate::pool::{CmpOp, ExprId, ExprPool, SymNode};
 use crate::summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy};
@@ -14,7 +15,6 @@ use crate::types::VType;
 use dtaint_cfg::FunctionCfg;
 use dtaint_fwbin::{Binary, Reg};
 use dtaint_ir::{BinOp, IrExpr, IrStmt, JumpKind, Width};
-use std::collections::{HashMap, HashSet};
 
 /// Tuning knobs for path exploration.
 #[derive(Debug, Clone, Copy)]
@@ -62,8 +62,8 @@ impl SymexConfig {
 /// One path's machine state.
 #[derive(Debug, Clone, Default)]
 struct SymState {
-    regs: HashMap<u8, ExprId>,
-    mem: HashMap<ExprId, ExprId>,
+    regs: FastMap<u8, ExprId>,
+    mem: FastMap<ExprId, ExprId>,
 }
 
 /// Work item: a path positioned at the start of `block`.
@@ -71,7 +71,7 @@ struct SymState {
 struct PathItem {
     block: u32,
     state: SymState,
-    visited: HashSet<u32>,
+    visited: FastSet<u32>,
     steps: u32,
     def_pairs: Vec<DefPair>,
     constraints: Vec<Constraint>,
@@ -98,8 +98,8 @@ pub fn analyze_function(
         cfg,
         pool,
         config,
-        loop_blocks: cfg.loop_blocks(),
-        escape_seen: HashSet::new(),
+        loop_blocks: cfg.loop_blocks().into_iter().collect(),
+        escape_seen: FastSet::default(),
         fuel_used: 0,
     }
     .run()
@@ -110,8 +110,8 @@ struct Executor<'a> {
     cfg: &'a FunctionCfg,
     pool: &'a mut ExprPool,
     config: &'a SymexConfig,
-    loop_blocks: HashSet<u32>,
-    escape_seen: HashSet<(ExprId, ExprId)>,
+    loop_blocks: FastSet<u32>,
+    escape_seen: FastSet<(ExprId, ExprId)>,
     fuel_used: u32,
 }
 
@@ -128,18 +128,18 @@ impl Executor<'_> {
         let mut stack = vec![PathItem {
             block: self.cfg.addr,
             state: self.initial_state(),
-            visited: HashSet::new(),
+            visited: FastSet::default(),
             steps: 0,
             def_pairs: Vec::new(),
             constraints: Vec::new(),
             callsites: Vec::new(),
             loop_copies: Vec::new(),
         }];
-        let mut def_seen: HashSet<(ExprId, ExprId, u32)> = HashSet::new();
-        let mut call_seen: HashSet<(u32, Vec<ExprId>)> = HashSet::new();
-        let mut con_seen: HashSet<(CmpOp, ExprId, ExprId, u32)> = HashSet::new();
-        let mut copy_seen: HashSet<(u32, ExprId, ExprId)> = HashSet::new();
-        let mut ret_seen: HashSet<ExprId> = HashSet::new();
+        let mut def_seen: FastSet<(ExprId, ExprId, u32)> = FastSet::default();
+        let mut call_seen: FastSet<(u32, Vec<ExprId>)> = FastSet::default();
+        let mut con_seen: FastSet<(CmpOp, ExprId, ExprId, u32)> = FastSet::default();
+        let mut copy_seen: FastSet<(u32, ExprId, ExprId)> = FastSet::default();
+        let mut ret_seen: FastSet<ExprId> = FastSet::default();
 
         while let Some(mut item) = stack.pop() {
             if summary.paths_explored >= self.config.max_paths {
@@ -534,8 +534,16 @@ impl Executor<'_> {
     /// Records the definition pairs that reach this exit and whose root
     /// pointer is a formal argument or a returned pointer — the set
     /// Algorithm 2 forwards to callers.
+    ///
+    /// Cells are visited in `(addr, val)` order, not hash order: the
+    /// visit order fixes the order of `escape_defs` and of the nodes
+    /// interned here, which cached summary bytes record, so it must
+    /// repeat run to run.
     fn collect_escapes(&mut self, item: &PathItem, summary: &mut FuncSummary) {
-        for (&addr, &val) in &item.state.mem {
+        let mut cells: Vec<(ExprId, ExprId)> =
+            item.state.mem.iter().map(|(&a, &v)| (a, v)).collect();
+        cells.sort_unstable();
+        for (addr, val) in cells {
             let w = 4;
             let d = self.pool.deref(addr, w);
             let Some(root) = self.pool.root_ptr(d) else { continue };

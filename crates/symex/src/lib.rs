@@ -67,6 +67,7 @@
 //! ```
 
 pub mod encode;
+pub mod hash;
 pub mod libsig;
 pub mod pool;
 pub mod summary;
@@ -76,6 +77,7 @@ mod exec;
 
 pub use encode::{canonical_encode, encode_summary, fnv64, Fnv64, SummaryDecoder, SummaryEncoder};
 pub use exec::{analyze_function, SymexConfig};
+pub use hash::{FastMap, FastSet};
 pub use pool::{CmpOp, ExprId, ExprPool, PoolMark, SymNode};
 pub use summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy};
 pub use types::VType;

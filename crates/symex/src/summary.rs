@@ -3,6 +3,7 @@
 use crate::pool::{CmpOp, ExprId};
 use crate::types::VType;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasher;
 
 /// A definition pair `(d, u)`: location `d` was assigned value `u`
 /// (§III-B, *Definition Pairs*).
@@ -143,53 +144,19 @@ impl FuncSummary {
     /// Re-interns every expression of this summary from `src` into `dst`.
     ///
     /// Per-function analyses run in parallel with private pools; the
-    /// interprocedural stage merges them into one global pool with this.
-    pub fn translate_into(
+    /// pipeline merges them into one global pool with this. `memo` maps
+    /// `src` ids already translated. Translation is a pure function of
+    /// structure, so one memo can serve every summary interned in the
+    /// same `src`: sub-terms shared between functions are then
+    /// translated once, and the ids are those a fresh memo per summary
+    /// would give.
+    pub fn translate_into_with<S: BuildHasher>(
         &self,
         src: &crate::pool::ExprPool,
         dst: &mut crate::pool::ExprPool,
+        memo: &mut HashMap<ExprId, ExprId, S>,
     ) -> FuncSummary {
-        let mut memo = HashMap::new();
-        self.translate_into_with(src, dst, &mut memo)
-    }
-
-    /// [`Self::translate_into`] with a caller-provided memo.
-    ///
-    /// Pre-seeding the memo lets the caller pin translations — the
-    /// parallel interprocedural stage maps a worker's fresh unknowns onto
-    /// the master pool's counter this way — and reusing it afterwards
-    /// keeps sibling data (sink observations) consistent with the
-    /// summary's translation.
-    pub fn translate_into_with(
-        &self,
-        src: &crate::pool::ExprPool,
-        dst: &mut crate::pool::ExprPool,
-        memo: &mut HashMap<ExprId, ExprId>,
-    ) -> FuncSummary {
-        self.translate_terms(dst, &mut |e, dst| dst.translate(src, e, memo))
-    }
-
-    /// [`Self::translate_into_with`] for a fork of `dst`: `src` was
-    /// cloned from `dst` at length `base`, so only fork-created nodes
-    /// are re-interned (see [`ExprPool::translate_fork`]).
-    ///
-    /// [`ExprPool::translate_fork`]: crate::pool::ExprPool::translate_fork
-    pub fn translate_into_fork(
-        &self,
-        src: &crate::pool::ExprPool,
-        base: usize,
-        dst: &mut crate::pool::ExprPool,
-        memo: &mut HashMap<ExprId, ExprId>,
-    ) -> FuncSummary {
-        self.translate_terms(dst, &mut |e, dst| dst.translate_fork(src, base, e, memo))
-    }
-
-    /// Rebuilds the summary with every expression mapped through `tr`.
-    fn translate_terms(
-        &self,
-        dst: &mut crate::pool::ExprPool,
-        tr: &mut dyn FnMut(ExprId, &mut crate::pool::ExprPool) -> ExprId,
-    ) -> FuncSummary {
+        let mut tr = |e, dst: &mut crate::pool::ExprPool| dst.translate(src, e, memo);
         let mut out = FuncSummary {
             addr: self.addr,
             name: self.name.clone(),

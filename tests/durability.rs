@@ -11,6 +11,7 @@
 
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use dtaint_cli::run_captured;
 use dtaint_dataflow::{CacheFormat, Level, SummaryCache};
@@ -284,6 +285,59 @@ fn resume_rescans_timed_out_images_instead_of_replaying_them() {
     assert!(corpus.contains("\"timeouts\": 0"), "{corpus}");
     let db = std::fs::read_to_string(store.join("findings.json")).unwrap();
     assert!(db.contains("\"slow\""), "the re-scan folds slow into the db: {db}");
+}
+
+// ---------------------------------------------------------------------------
+// Canonical at-rest bytes
+// ---------------------------------------------------------------------------
+
+/// Names the corpus directory [`cold_batch_child`] scans.
+const CANON_DIR_ENV: &str = "DTAINT_DURABILITY_CANON_DIR";
+
+/// Child half of [`cold_batches_write_byte_identical_summaries`]: one
+/// cold `--jobs 1 --threads 1` batch of the corpus named by
+/// [`CANON_DIR_ENV`]. Run in its own process so every batch draws fresh
+/// hash seeds; without the variable it does nothing.
+#[test]
+#[ignore = "child process of cold_batches_write_byte_identical_summaries"]
+fn cold_batch_child() {
+    let Ok(dir) = std::env::var(CANON_DIR_ENV) else { return };
+    let (code, out) = run_captured(&["batch", &dir, "--jobs", "1", "--threads", "1"]);
+    assert_eq!(code, Ok(0), "{out}");
+}
+
+/// Cached summaries must not depend on hash-map iteration order, which
+/// differs per process: cold batches of the DIR-890L image (profile 2),
+/// each in a fresh process and a fresh store, write identical
+/// `summaries.dtc` bytes.
+#[test]
+fn cold_batches_write_byte_identical_summaries() {
+    let profile = dtaint_fwgen::table2_profiles().remove(1);
+    let image = dtaint_fwgen::build_firmware(&profile).image.pack(false);
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut first: Option<Vec<u8>> = None;
+    for run in 0..8 {
+        let dir = tmpdir(&format!("canon-{run}"));
+        std::fs::write(dir.join("dir890l.fwi"), &image).unwrap();
+        let child = Command::new(&exe)
+            .args(["--exact", "cold_batch_child", "--ignored", "--quiet"])
+            .env(CANON_DIR_ENV, &dir)
+            .output()
+            .expect("spawn the child batch");
+        assert!(
+            child.status.success(),
+            "cold batch {run} failed: {}\n{}{}",
+            child.status,
+            String::from_utf8_lossy(&child.stdout),
+            String::from_utf8_lossy(&child.stderr)
+        );
+        let bytes = read(&dir.join(".dtaint-store/summaries.dtc"));
+        match &first {
+            None => first = Some(bytes),
+            Some(f) => assert!(bytes == *f, "cold batch {run} wrote different summaries.dtc bytes"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------
