@@ -2178,11 +2178,16 @@ mod tests {
         d
     }
 
+    /// A fresh 60-function image at a path no other call returns, so
+    /// tests running in parallel never rewrite a file another one is
+    /// scanning.
     fn small_image_path() -> String {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut profile = dtaint_fwgen::table2_profiles().remove(0);
         profile.total_functions = 60;
         let fw = dtaint_fwgen::build_firmware(&profile);
-        let p = tmpdir().join("dir645.fwi");
+        let p = tmpdir().join(format!("dir645-{n}.fwi"));
         std::fs::write(&p, fw.image.pack(false)).unwrap();
         p.to_string_lossy().into_owned()
     }

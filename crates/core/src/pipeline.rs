@@ -11,7 +11,9 @@ use crate::report::{
 use crate::sinks::{default_sink_names, default_sources};
 use crate::taint;
 use dtaint_cfg::{build_function_cfg, CallGraph, CfgDigest, FunctionCfg};
-use dtaint_dataflow::cache::{env_digest, function_content_hash, sym_salt, Level};
+use dtaint_dataflow::cache::{
+    decode_digest, encode_digest, env_digest, sym_salt, symbol_content_hash, Level,
+};
 use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::{analyze_function, canonical_encode, SummaryDecoder};
@@ -168,10 +170,11 @@ impl Dtaint {
         // Stages 1–2, fused: each function is lifted, analysed (static
         // symbolic analysis, in parallel with private pools merged
         // afterwards) and reduced to a `CfgDigest` in one step, so at
-        // most one CFG per worker is alive at a time. A lift failure or
-        // panic downgrades that one function to an opaque (absent)
-        // summary; a symex panic is rolled back out of its pool; a
-        // fuel-exhausted function is retried once degraded.
+        // most one CFG per worker is alive at a time; a function whose
+        // summary and digest are both cached is not lifted at all. A
+        // lift failure or panic downgrades that one function to an
+        // opaque (absent) summary; a symex panic is rolled back out of
+        // its pool; a fuel-exhausted function is retried once degraded.
         let stage_t0 = tel.start();
         let t = Instant::now();
         let mut syms: Vec<&Symbol> = bin.functions();
@@ -616,6 +619,7 @@ impl Dtaint {
         if let Some(cref) = &self.config.cache {
             let st = cref.cache.scan_stats(&cref.scan);
             tel.metrics.inc("cache.symex.hits", st.sym_hits);
+            tel.metrics.inc("cache.cfg.hits", st.cfg_hits);
             tel.metrics.inc("cache.symex.misses", st.sym_misses);
             tel.metrics.inc("cache.ddg.hits", st.ddg_hits);
             tel.metrics.inc("cache.ddg.misses", st.ddg_misses);
@@ -784,9 +788,10 @@ impl Dtaint {
                     Err(LiftFailure { addr, name, outcome, detail, .. }) => {
                         stage.records.push((addr, name, outcome, detail));
                     }
-                    Ok(Analyzed { digest, one, key, was_hit }) => {
+                    Ok(Analyzed { digest, one, key, hit }) => {
                         if let Some(cc) = cache {
-                            cc.settle(local.as_ref().unwrap_or(&stage.pool), &one, key, was_hit);
+                            let pool = local.as_ref().unwrap_or(&stage.pool);
+                            cc.settle(pool, &one, &digest, key, hit);
                         }
                         stage.digests.push(digest);
                         if let Some(r) = stage.absorb(one, local.as_ref(), &mut memo) {
@@ -820,7 +825,18 @@ struct Analyzed {
     digest: CfgDigest,
     one: SymexOne,
     key: Option<u64>,
-    was_hit: bool,
+    hit: Hit,
+}
+
+/// What the symex cache served for one function.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hit {
+    /// Nothing: lifted and analysed.
+    Miss,
+    /// The summary; the function was lifted for its digest.
+    Summary,
+    /// The summary and the digest; the function was not lifted.
+    Full,
 }
 
 /// A function whose lift failed or panicked.
@@ -834,10 +850,12 @@ struct LiftFailure {
 }
 
 /// The per-function step, shared by the sequential path and every
-/// worker: lift `s` behind its own error and panic boundary, probe the
-/// symex cache or run [`symex_one`] into `pool`, keep the CFG's digest
-/// and drop the CFG. Under fail-fast the chunk stops at its first lift
-/// failure, which pre-empts everything after it.
+/// worker: serve `s` whole from the symex cache when both its summary
+/// and its CFG digest are held, or else lift it behind its own error and
+/// panic boundary, probe the symex cache or run [`symex_one`] into
+/// `pool`, keep the CFG's digest and drop the CFG. Under fail-fast the
+/// chunk stops at its first lift failure, which pre-empts everything
+/// after it.
 fn lift_symex_chunk(
     bin: &Binary,
     syms: &[&Symbol],
@@ -851,38 +869,39 @@ fn lift_symex_chunk(
         Chunk { steps: Vec::new(), lift_busy: Duration::ZERO, symex_busy: Duration::ZERO };
     for s in syms {
         let t = Instant::now();
+        let t0 = buf.start();
+        let key = cache.and_then(|cc| cc.key(bin, s));
+        let warm = match (cache, key) {
+            (Some(cc), Some(k)) => cc.probe_warm(k, s, pool),
+            _ => None,
+        };
+        if let Some((digest, summary)) = warm {
+            let one = SymexOne::hit(summary);
+            record_symex_span(buf, s, &one, t0);
+            out.symex_busy += t.elapsed();
+            out.steps.push(Ok(Analyzed { digest, one, key, hit: Hit::Full }));
+            continue;
+        }
+        out.symex_busy += t.elapsed();
+        let t = Instant::now();
         let lifted = catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s)));
         out.lift_busy += t.elapsed();
         let (outcome, detail, error) = match lifted {
             Ok(Ok(cfg)) => {
                 let t = Instant::now();
                 let t0 = buf.start();
-                let key = cache.and_then(|cc| cc.key(bin, &cfg));
-                let hit = match (cache, key) {
+                let cached = match (cache, key) {
                     (Some(cc), Some(k)) => cc.probe(k, pool),
                     _ => None,
                 };
-                let was_hit = hit.is_some();
-                let one = match hit {
-                    Some(summary) => SymexOne {
-                        summary,
-                        record: None,
-                        retried: false,
-                        retry_time: Duration::ZERO,
-                    },
+                let hit = if cached.is_some() { Hit::Summary } else { Hit::Miss };
+                let one = match cached {
+                    Some(summary) => SymexOne::hit(summary),
                     None => symex_one(bin, &cfg, pool, config),
                 };
-                // One span per function, carrying its logical counters
-                // as args; the disabled path costs one branch.
-                if buf.is_enabled() {
-                    let mut args = BTreeMap::new();
-                    args.insert("addr".to_owned(), u64::from(cfg.addr));
-                    args.insert("blocks".to_owned(), u64::from(one.summary.blocks_executed));
-                    args.insert("paths".to_owned(), u64::from(one.summary.paths_explored));
-                    buf.record(&cfg.name, "symex_fn", t0, args);
-                }
+                record_symex_span(buf, s, &one, t0);
                 out.symex_busy += t.elapsed();
-                out.steps.push(Ok(Analyzed { digest: cfg.digest(), one, key, was_hit }));
+                out.steps.push(Ok(Analyzed { digest: cfg.digest(), one, key, hit }));
                 continue;
             }
             Ok(Err(e)) => (FunctionOutcome::LiftFailed, e.to_string(), e),
@@ -904,6 +923,18 @@ fn lift_symex_chunk(
         }
     }
     out
+}
+
+/// One span per function, carrying its logical counters as args; the
+/// disabled path costs one branch.
+fn record_symex_span(buf: &mut TraceBuffer, s: &Symbol, one: &SymexOne, t0: u64) {
+    if buf.is_enabled() {
+        let mut args = BTreeMap::new();
+        args.insert("addr".to_owned(), u64::from(s.addr));
+        args.insert("blocks".to_owned(), u64::from(one.summary.blocks_executed));
+        args.insert("paths".to_owned(), u64::from(one.summary.paths_explored));
+        buf.record(&s.name, "symex_fn", t0, args);
+    }
 }
 
 /// Appends back-to-back lane-0 stage spans starting at `start_us`, for
@@ -935,11 +966,26 @@ struct SymexCacheCtx {
 }
 
 impl SymexCacheCtx {
-    /// Content key for one function: salt + address + name + raw bytes.
-    fn key(&self, bin: &Binary, cfg: &FunctionCfg) -> Option<u64> {
-        let sym = bin.function_at(cfg.addr)?;
-        let bytes = bin.bytes_at(sym.addr, sym.size)?;
-        Some(function_content_hash(self.salt, cfg.addr, &cfg.name, &bytes))
+    /// Content key for one function: salt + address + name + the raw
+    /// bytes of its own symbol. Computed before lifting; it keys both
+    /// the summary and the CFG digest.
+    fn key(&self, bin: &Binary, s: &Symbol) -> Option<u64> {
+        symbol_content_hash(self.salt, bin, s)
+    }
+
+    /// The cached digest and summary of `s`, when both are held and
+    /// decode — everything the stage needs without lifting. A bad or
+    /// missing digest, or a summary that will not rehydrate, returns
+    /// `None` with `pool` unchanged.
+    fn probe_warm(
+        &self,
+        key: u64,
+        s: &Symbol,
+        pool: &mut ExprPool,
+    ) -> Option<(CfgDigest, FuncSummary)> {
+        let blob = self.cref.cache.lookup_blob(Level::Cfg, key)?;
+        let digest = decode_digest(&blob, s)?;
+        Some((digest, self.probe(key, pool)?))
     }
 
     /// Attempts to rehydrate a cached local summary into `pool`. Local
@@ -960,24 +1006,41 @@ impl SymexCacheCtx {
         r
     }
 
-    /// Hit/miss bookkeeping plus the store on an eligible miss: only
-    /// cleanly analyzed summaries (no outcome record, not degraded, no
-    /// fuel exhaustion) are cached.
-    fn settle(&self, pool: &ExprPool, one: &SymexOne, key: Option<u64>, was_hit: bool) {
-        let s = &one.summary;
-        if was_hit {
-            if let Some(k) = key {
-                self.cref.cache.note_hit(Level::Symex, &self.cref.scan, s.addr, k);
-            }
-            return;
+    /// Hit/miss bookkeeping plus the stores: the summary on an eligible
+    /// miss, and the digest beside every summary the cache now holds
+    /// unless it was served from there. Only cleanly analyzed summaries
+    /// (no outcome record, not degraded, no fuel exhaustion) are cached,
+    /// so lift failures and faulted functions never get a digest.
+    fn settle(
+        &self,
+        pool: &ExprPool,
+        one: &SymexOne,
+        digest: &CfgDigest,
+        key: Option<u64>,
+        hit: Hit,
+    ) {
+        let (cache, scan, s) = (&self.cref.cache, self.cref.scan.as_str(), &one.summary);
+        if hit == Hit::Miss {
+            cache.note_miss(Level::Symex, scan, &s.name, s.addr, key);
         }
-        self.cref.cache.note_miss(Level::Symex, &self.cref.scan, &s.name, s.addr, key);
         let Some(k) = key else { return };
-        if one.record.is_some() || s.degraded || s.fuel_exhausted {
-            return;
+        match hit {
+            Hit::Full => {
+                cache.note_hit(Level::Symex, scan, s.addr, k);
+                cache.note_hit(Level::Cfg, scan, s.addr, k);
+                return;
+            }
+            Hit::Summary => cache.note_hit(Level::Symex, scan, s.addr, k),
+            Hit::Miss => {
+                if one.record.is_some() || s.degraded || s.fuel_exhausted {
+                    return;
+                }
+                let Some(blob) = canonical_encode(pool, s) else { return };
+                cache.store(Level::Symex, scan, k, blob);
+            }
         }
-        if let Some(blob) = canonical_encode(pool, s) {
-            self.cref.cache.store(Level::Symex, &self.cref.scan, k, blob);
+        if let Some(blob) = encode_digest(digest) {
+            cache.store(Level::Cfg, scan, k, blob);
         }
     }
 }
@@ -1030,6 +1093,13 @@ struct SymexOne {
     record: Option<(FunctionOutcome, String)>,
     retried: bool,
     retry_time: Duration,
+}
+
+impl SymexOne {
+    /// A summary served from the cache.
+    fn hit(summary: FuncSummary) -> Self {
+        SymexOne { summary, record: None, retried: false, retry_time: Duration::ZERO }
+    }
 }
 
 /// Analyzes one function behind a panic boundary with fuel-exhaustion

@@ -1,4 +1,5 @@
-//! The incremental summary cache (content-addressed, two-level).
+//! The incremental summary cache (content-addressed, two summary
+//! levels plus per-function CFG digests).
 //!
 //! Algorithm 2 makes a function's final summary a pure function of
 //! (a) its own post-alias local summary, (b) the final summaries of its
@@ -9,10 +10,16 @@
 //! over the SCC condensation, and a re-scan of a modified image misses
 //! only on the changed functions and their transitive callers.
 //!
-//! Two levels share one store:
+//! Three record kinds share one store:
 //!
 //! * **symex** — the per-function local summary, keyed by the function's
 //!   raw bytes under a config salt. A hit skips symbolic execution.
+//! * **cfg** — the function's [`CfgDigest`] (block and edge counts, call
+//!   blocks), under the same key as its symex summary. A digest hit
+//!   together with a symex hit skips lifting as well: the digest is all
+//!   the call graph and the report counts need of the CFG. Digests are
+//!   not summaries, so they count toward no hit/miss/store statistic
+//!   except [`ScanStats::cfg_hits`].
 //! * **ddg** — the final (post-propagation) summary plus its sink
 //!   observations, keyed by the local summary's canonical encoding
 //!   composed with every callee's final key (whole-SCC granularity for
@@ -32,7 +39,8 @@
 //! listed in [`CacheRef::uncacheable`] and are never stored (their keys
 //! still exist, so callers above them can hit).
 
-use dtaint_fwbin::Binary;
+use dtaint_cfg::{CallBlock, CfgDigest};
+use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::encode::Fnv64;
 use dtaint_symex::SymexConfig;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -48,6 +56,8 @@ pub enum Level {
     Symex,
     /// Final summaries with sink observations.
     Ddg,
+    /// Per-function CFG digests, keyed by the symex key.
+    Cfg,
 }
 
 /// Per-scan hit/miss accounting, queryable by scan label.
@@ -61,6 +71,8 @@ pub struct ScanStats {
     pub ddg_hits: u64,
     /// DDG-level misses.
     pub ddg_misses: u64,
+    /// Functions served from a CFG digest plus a symex hit, never lifted.
+    pub cfg_hits: u64,
     /// Misses where the same scan label previously recorded a
     /// *different* key for the same function — i.e. the function (or
     /// something below it) changed between scans.
@@ -76,15 +88,15 @@ pub struct ScanStats {
 /// Whole-cache totals across every scan since load.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheTotals {
-    /// Hits across both levels.
+    /// Hits across both summary levels.
     pub hits: u64,
-    /// Misses across both levels.
+    /// Misses across both summary levels.
     pub misses: u64,
     /// Key-changed misses.
     pub invalidations: u64,
-    /// Blobs written.
+    /// Summary blobs written.
     pub stores: u64,
-    /// Entries currently held (both levels).
+    /// Entries currently held (every record kind).
     pub entries: usize,
 }
 
@@ -92,6 +104,7 @@ pub struct CacheTotals {
 struct Inner {
     sym: HashMap<u64, Vec<u8>>,
     ddg: HashMap<u64, Vec<u8>>,
+    cfg: HashMap<u64, Vec<u8>>,
     /// `(scan label, level, function addr) → last key`, across scans —
     /// how a re-scan's key changes are classified as invalidations.
     seen: HashMap<(String, u8, u32), u64>,
@@ -177,28 +190,33 @@ impl SummaryCache {
     /// [`Self::note_hit`] or [`Self::note_miss`] after the decode
     /// attempt settles what actually happened.
     pub fn lookup_blob(&self, level: Level, key: u64) -> Option<Vec<u8>> {
-        let g = self.inner.lock().unwrap();
-        match level {
-            Level::Symex => g.sym.get(&key).cloned(),
-            Level::Ddg => g.ddg.get(&key).cloned(),
-        }
+        self.inner.lock().unwrap().map(level).get(&key).cloned()
     }
 
-    /// Records a served hit for `scan`.
+    /// Records a served hit for `scan`. A [`Level::Cfg`] hit only bumps
+    /// [`ScanStats::cfg_hits`]: digests are not summaries.
     pub fn note_hit(&self, level: Level, scan: &str, addr: u32, key: u64) {
         let mut g = self.inner.lock().unwrap();
-        g.seen.insert((scan.to_owned(), level_tag(level), addr), key);
         let st = g.stats.entry(scan.to_owned()).or_default();
         match level {
             Level::Symex => st.sym_hits += 1,
             Level::Ddg => st.ddg_hits += 1,
+            Level::Cfg => {
+                st.cfg_hits += 1;
+                return;
+            }
         }
+        g.seen.insert((scan.to_owned(), level_tag(level), addr), key);
         g.totals.hits += 1;
     }
 
     /// Records a miss for `scan`; a previously-seen different key for
     /// the same `(scan, level, addr)` also counts as an invalidation.
+    /// Digest misses are not tallied (a missed digest is a lift).
     pub fn note_miss(&self, level: Level, scan: &str, fn_name: &str, addr: u32, key: Option<u64>) {
+        if level == Level::Cfg {
+            return;
+        }
         let mut g = self.inner.lock().unwrap();
         let mut invalidated = false;
         if let Some(k) = key {
@@ -211,7 +229,7 @@ impl SummaryCache {
                 st.sym_misses += 1;
                 st.sym_miss_fns.insert(fn_name.to_owned());
             }
-            Level::Ddg => {
+            _ => {
                 st.ddg_misses += 1;
                 st.ddg_miss_fns.insert(fn_name.to_owned());
             }
@@ -225,17 +243,17 @@ impl SummaryCache {
         }
     }
 
-    /// Stores a blob under `key`, crediting `scan`. A key not held yet
-    /// joins the delta [`Self::drain_fresh_records`] returns; re-storing
-    /// a held key replaces its blob but adds nothing to the delta.
+    /// Stores a blob under `key`, crediting `scan` (summary levels
+    /// only). A key not held yet joins the delta
+    /// [`Self::drain_fresh_records`] returns; re-storing a held key
+    /// replaces its blob but adds nothing to the delta.
     pub fn store(&self, level: Level, scan: &str, key: u64, blob: Vec<u8>) {
         let mut g = self.inner.lock().unwrap();
-        let prev = match level {
-            Level::Symex => g.sym.insert(key, blob),
-            Level::Ddg => g.ddg.insert(key, blob),
-        };
-        if prev.is_none() {
+        if g.map_mut(level).insert(key, blob).is_none() {
             g.fresh.push((level, key));
+        }
+        if level == Level::Cfg {
+            return;
         }
         g.stats.entry(scan.to_owned()).or_default().stores += 1;
         g.totals.stores += 1;
@@ -250,25 +268,34 @@ impl SummaryCache {
     /// Whole-cache totals.
     pub fn totals(&self) -> CacheTotals {
         let g = self.inner.lock().unwrap();
-        CacheTotals { entries: g.sym.len() + g.ddg.len(), ..g.totals }
+        CacheTotals { entries: g.entries(), ..g.totals }
     }
 
-    /// Serialises both levels as a compacted `DTC2` file: a 16-byte
+    /// Serialises every record kind as a compacted `DTC2` file: a 16-byte
     /// header (magic, entry count, FNV of the first 8 header bytes) then
     /// key-sorted, individually checksummed records. Statistics and the
     /// seen-key table are per-process and not persisted.
     pub fn to_bytes(&self) -> Vec<u8> {
+        const LEVELS: [Level; 3] = [Level::Symex, Level::Ddg, Level::Cfg];
         let g = self.inner.lock().unwrap();
-        let count = (g.sym.len() + g.ddg.len()) as u32;
-        let mut out = Vec::new();
+        let count = g.entries() as u32;
+        // Sized up front: the file is tens of MiB on a fleet store, and
+        // growing it by doubling would briefly hold up to twice that.
+        let size = LEVELS
+            .iter()
+            .flat_map(|&l| g.map(l).values())
+            .map(|v| RECORD_OVERHEAD + v.len())
+            .sum::<usize>();
+        let mut out = Vec::with_capacity(16 + size);
         out.extend_from_slice(&CACHE_MAGIC);
         out.extend_from_slice(&count.to_le_bytes());
         let head_check = fnv64_bytes(&out[..8]);
         out.extend_from_slice(&head_check.to_le_bytes());
-        for (tag, map) in [(0u8, &g.sym), (1u8, &g.ddg)] {
-            let sorted: BTreeMap<&u64, &Vec<u8>> = map.iter().collect();
+        for level in LEVELS {
+            let mut sorted: Vec<(&u64, &Vec<u8>)> = g.map(level).iter().collect();
+            sorted.sort_unstable_by_key(|&(k, _)| *k);
             for (k, v) in sorted {
-                push_record(&mut out, tag, *k, v);
+                push_record(&mut out, level_tag(level), *k, v);
             }
         }
         out
@@ -284,11 +311,7 @@ impl SummaryCache {
         let fresh = std::mem::take(&mut g.fresh);
         let mut out = Vec::new();
         for (level, key) in fresh {
-            let map = match level {
-                Level::Symex => &g.sym,
-                Level::Ddg => &g.ddg,
-            };
-            push_record(&mut out, level_tag(level), key, &map[&key]);
+            push_record(&mut out, level_tag(level), key, &g.map(level)[&key]);
         }
         out
     }
@@ -342,8 +365,9 @@ impl SummaryCache {
         Self::load_with_report(path).0
     }
 
-    /// Serialises both levels in the legacy `DTC1` layout — only for
-    /// migration tests that need a genuine old-format file.
+    /// Serialises both summary levels in the legacy `DTC1` layout (which
+    /// has no digests) — only for migration tests that need a genuine
+    /// old-format file.
     pub fn encode_dtc1(&self) -> Vec<u8> {
         let g = self.inner.lock().unwrap();
         let mut out = Vec::new();
@@ -371,6 +395,10 @@ fn fnv64_bytes(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// Bytes a `DTC2` record adds around its blob: marker, tag, key, blob
+/// length and checksum.
+const RECORD_OVERHEAD: usize = 2 + 1 + 8 + 4 + 8;
 
 /// Appends one `DTC2` record: marker, level tag, key, blob length, blob,
 /// and an FNV checksum over tag..blob.
@@ -402,10 +430,7 @@ fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
     while pos < bytes.len() {
         match parse_record(bytes, pos) {
             Some((tag, key, blob, next)) => {
-                match tag {
-                    0 => inner.sym.insert(key, blob),
-                    _ => inner.ddg.insert(key, blob),
-                };
+                inner.map_mut(level_of(tag)).insert(key, blob);
                 loaded += 1;
                 pos = next;
             }
@@ -424,7 +449,7 @@ fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
     if promised.is_some_and(|p| loaded < p) {
         damaged = true;
     }
-    let entries = inner.sym.len() + inner.ddg.len();
+    let entries = inner.entries();
     CacheLoadReport {
         format: CacheFormat::Dtc2,
         entries,
@@ -443,7 +468,7 @@ fn parse_record(bytes: &[u8], pos: usize) -> Option<(u8, u64, Vec<u8>, usize)> {
     }
     let body = pos + 2;
     let tag = *bytes.get(body)?;
-    if tag > 1 {
+    if tag > 2 {
         return None;
     }
     let key = u64::from_le_bytes(bytes.get(body + 1..body + 9)?.try_into().ok()?);
@@ -466,6 +491,38 @@ fn level_tag(level: Level) -> u8 {
     match level {
         Level::Symex => 0,
         Level::Ddg => 1,
+        Level::Cfg => 2,
+    }
+}
+
+/// Inverse of [`level_tag`] for tags [`parse_record`] accepted.
+fn level_of(tag: u8) -> Level {
+    match tag {
+        0 => Level::Symex,
+        1 => Level::Ddg,
+        _ => Level::Cfg,
+    }
+}
+
+impl Inner {
+    fn map(&self, level: Level) -> &HashMap<u64, Vec<u8>> {
+        match level {
+            Level::Symex => &self.sym,
+            Level::Ddg => &self.ddg,
+            Level::Cfg => &self.cfg,
+        }
+    }
+
+    fn map_mut(&mut self, level: Level) -> &mut HashMap<u64, Vec<u8>> {
+        match level {
+            Level::Symex => &mut self.sym,
+            Level::Ddg => &mut self.ddg,
+            Level::Cfg => &mut self.cfg,
+        }
+    }
+
+    fn entries(&self) -> usize {
+        self.sym.len() + self.ddg.len() + self.cfg.len()
     }
 }
 
@@ -630,6 +687,15 @@ fn write_opt_u32(h: &mut Fnv64, v: Option<u32>) {
         }
         None => h.write_u8(0),
     }
+}
+
+/// [`function_content_hash`] of one function symbol over its own byte
+/// range — not the range of whichever symbol [`Binary::function_at`]
+/// returns first, which differs when symbols overlap. `None` when the
+/// range is unmapped.
+pub fn symbol_content_hash(salt: u64, bin: &Binary, sym: &Symbol) -> Option<u64> {
+    let bytes = bin.bytes_at(sym.addr, sym.size)?;
+    Some(function_content_hash(salt, sym.addr, &sym.name, &bytes))
 }
 
 /// Content hash of one function: salt, identity, and raw machine bytes
@@ -874,6 +940,63 @@ pub fn decode_final(
     ))
 }
 
+// --- CFG digest blob codec ------------------------------------------
+
+/// Encodes a [`CfgDigest`] (all of it but the name, which comes from the
+/// symbol): `addr, blocks, edges`, the call count, then per call
+/// `block, ins_addr, return_to` and the target behind a presence byte.
+/// Little-endian `u32`s throughout.
+pub fn encode_digest(d: &CfgDigest) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(16 + 17 * d.calls.len());
+    for v in [d.addr, u32::try_from(d.blocks).ok()?, u32::try_from(d.edges).ok()?] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out.extend_from_slice(&u32::try_from(d.calls.len()).ok()?.to_le_bytes());
+    for c in &d.calls {
+        for v in [c.block, c.ins_addr, c.return_to] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        match c.target {
+            Some(t) => {
+                out.push(1);
+                out.extend_from_slice(&t.to_le_bytes());
+            }
+            None => out.push(0),
+        }
+    }
+    Some(out)
+}
+
+/// Decodes a blob written by [`encode_digest`] for the function `sym`:
+/// `None` unless the stored address is `sym`'s and every byte is
+/// consumed.
+pub fn decode_digest(blob: &[u8], sym: &Symbol) -> Option<CfgDigest> {
+    let mut pos = 0usize;
+    let addr = get_u32(blob, &mut pos)?;
+    if addr != sym.addr {
+        return None;
+    }
+    let blocks = get_u32(blob, &mut pos)? as usize;
+    let edges = get_u32(blob, &mut pos)? as usize;
+    let n = get_u32(blob, &mut pos)? as usize;
+    // Each call takes at least 13 bytes, which bounds the allocation.
+    let mut calls = Vec::with_capacity(n.min(blob.len() / 13));
+    for _ in 0..n {
+        let block = get_u32(blob, &mut pos)?;
+        let ins_addr = get_u32(blob, &mut pos)?;
+        let return_to = get_u32(blob, &mut pos)?;
+        let flag = *blob.get(pos)?;
+        pos += 1;
+        let target = match flag {
+            0 => None,
+            1 => Some(get_u32(blob, &mut pos)?),
+            _ => return None,
+        };
+        calls.push(CallBlock { block, ins_addr, return_to, target });
+    }
+    (pos == blob.len()).then(|| CfgDigest { addr, name: sym.name.clone(), blocks, edges, calls })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1080,6 +1203,53 @@ mod tests {
         assert!(report.damaged);
         assert_eq!(report.format, CacheFormat::Dtc1);
         assert_eq!(report.salvaged, 0, "DTC1 has no record boundaries to salvage");
+    }
+
+    #[test]
+    fn digests_count_only_as_entries_and_cfg_hits() {
+        let c = SummaryCache::new();
+        c.begin_scan("img");
+        c.store(Level::Cfg, "img", 7, vec![1]);
+        c.note_hit(Level::Cfg, "img", 0x100, 7);
+        c.note_miss(Level::Cfg, "img", "f", 0x100, Some(8));
+        assert_eq!(c.scan_stats("img"), ScanStats { cfg_hits: 1, ..ScanStats::default() });
+        let t = c.totals();
+        assert_eq!((t.hits, t.misses, t.stores, t.entries), (0, 0, 0, 1));
+        let (back, report) = SummaryCache::from_bytes(&c.to_bytes());
+        assert_eq!(report, CacheLoadReport::clean(CacheFormat::Dtc2, 1));
+        assert_eq!(back.lookup_blob(Level::Cfg, 7).as_deref(), Some(&[1u8][..]));
+        assert!(back.lookup_blob(Level::Symex, 7).is_none(), "levels stay apart");
+        let empty = SummaryCache::new().to_bytes();
+        let (back, _) = SummaryCache::from_bytes(&[&empty[..], &c.drain_fresh_records()].concat());
+        assert_eq!(back.lookup_blob(Level::Cfg, 7).as_deref(), Some(&[1u8][..]));
+    }
+
+    #[test]
+    fn digest_blob_roundtrips_and_rejects_damage() {
+        let sym = Symbol {
+            name: "f".into(),
+            addr: 0x400,
+            size: 0x40,
+            kind: dtaint_fwbin::SymbolKind::Function,
+        };
+        let call =
+            |block, target| CallBlock { block, ins_addr: block + 8, return_to: block + 12, target };
+        let d = CfgDigest {
+            addr: 0x400,
+            name: "f".into(),
+            blocks: 5,
+            edges: 6,
+            calls: vec![call(0x400, Some(0x800)), call(0x410, None)],
+        };
+        let blob = encode_digest(&d).unwrap();
+        assert_eq!(decode_digest(&blob, &sym), Some(d));
+        assert_eq!(decode_digest(&blob[..blob.len() - 1], &sym), None, "truncated");
+        assert_eq!(decode_digest(&[&blob[..], &[0]].concat(), &sym), None, "trailing byte");
+        let elsewhere = Symbol { addr: 0x404, ..sym.clone() };
+        assert_eq!(decode_digest(&blob, &elsewhere), None, "another function's digest");
+        let mut bad_flag = blob.clone();
+        bad_flag[16 + 12] = 2;
+        assert_eq!(decode_digest(&bad_flag, &sym), None, "target presence is 0 or 1");
     }
 
     #[test]

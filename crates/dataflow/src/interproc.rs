@@ -598,13 +598,18 @@ impl DdgCacheCtx {
         // constructors, so structurally distinct but observationally
         // equal forms can exist across thread counts, and keying on them
         // would make warmth thread-dependent.
+        // The bytes hashed are those of the analysed symbol (the one at
+        // the summary's address with its name), so a symbol starting
+        // inside another one is keyed by its own range.
+        let funcs = bin.functions();
         let mut own: FastMap<u32, Option<u64>> = FastMap::default();
         for (&addr, s) in by_addr {
-            let h = (|| {
-                let sym = bin.function_at(addr)?;
-                let bytes = bin.bytes_at(sym.addr, sym.size)?;
-                Some(cache::function_content_hash(salt, addr, &s.name, &bytes))
-            })();
+            let at = funcs.partition_point(|f| f.addr < addr);
+            let h = funcs[at..]
+                .iter()
+                .take_while(|f| f.addr == addr)
+                .find(|f| f.name == s.name)
+                .and_then(|sym| cache::symbol_content_hash(salt, bin, sym));
             own.insert(addr, h);
         }
         let mut combined: FastMap<u32, Option<u64>> = FastMap::default();
